@@ -4,7 +4,7 @@ With an atom at zero the implied volatility grows like sqrt(2 log(x0/K))
 as the strike K falls, and the refinements differ in what they feed to
 the inverse of the perturbed normal CDF U_K: the bare mass, the full
 CDF at the strike, or the put-transform G.  This script tabulates every
-variant against the quadrature oracle and shows the accuracy ranking,
+variant against the series oracle and shows the accuracy ranking,
 including the formula built on the plain normal quantile.
 
 The vol is calibrated so the mass at zero equals 0.0707, the anchor

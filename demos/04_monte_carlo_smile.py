@@ -3,7 +3,7 @@
 Simulates the CEV price to maturity with the deterministic counter-based
 generator, inverts the sampled put prices, and overlays the normalized
 curve iv * sqrt(T) / |k| against the three-term approximation, the
-plain-quantile approximation, and the quadrature oracle.  Also writes
+plain-quantile approximation, and the series oracle.  Also writes
 the same comparison as an SVG through the command-line machinery.
 """
 

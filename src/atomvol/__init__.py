@@ -33,6 +33,7 @@ from atomvol.specfun import (
     norm_cdf,
     norm_cdf_inv,
     reg_inc_gamma,
+    reg_inc_gamma_upper,
 )
 from atomvol.wing import (
     AtomModel,
@@ -81,6 +82,7 @@ __all__ = [
     "norm_cdf",
     "norm_cdf_inv",
     "reg_inc_gamma",
+    "reg_inc_gamma_upper",
     "AtomModel",
     "BoundsConfig",
     "SmileApproximation",

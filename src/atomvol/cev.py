@@ -1,15 +1,21 @@
 """CEV backend: dS = sigma * S^rho dW with absorption at zero.
 
 Provides the exact terminal law at a fixed maturity: the atom mass at
-zero through the regularized incomplete gamma function, the Bessel-type
-density of the continuous part, distribution and put-price quadratures,
-and the implied-volatility oracle used as ground truth by every
+zero as the regularized upper incomplete gamma function, the Bessel-type
+density of the continuous part, the continuous-part CDF and the put
+price, and the implied-volatility oracle used as ground truth by every
 approximation test.
 
-The quadratures substitute u = x^(2(1-rho)), which turns the integrable
-x^(1-2rho) endpoint behavior into a bounded integrand for every rho in
-(0, 1), and the density is assembled in log space through the scaled
-Bessel product so that nothing overflows at large argument.
+The CDF and the put price come from Schroder's closed form (J. Finance
+44, 1989): in y = khat * x^(2(1-rho)) the absorbed law is a Poisson
+mixture of Gamma laws, so each strike costs two vectorized incomplete
+gamma sums over weights that a model builds once, on first use.
+
+An independent quadrature of the density checks that closed form: it
+substitutes u = x^(2(1-rho)), which turns the integrable x^(1-2rho)
+endpoint behavior into a bounded integrand for every rho in (0, 1), and
+the density is assembled in log space through the scaled Bessel product
+so that nothing overflows at large argument.
 """
 
 from __future__ import annotations
@@ -17,14 +23,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy.special import ive
+from scipy.special import gammainc, gammaln, ive
 
 from atomvol.blackscholes import MarketSlice, OptionQuote, implied_vol
 from atomvol.errors import DomainError, QuadratureError
-from atomvol.specfun import reg_inc_gamma
+# reg_inc_gamma stays importable from here: perfbench/layers.py wraps it
+from atomvol.specfun import reg_inc_gamma, reg_inc_gamma_upper  # noqa: F401
 from atomvol.wing import AtomModel
 
 __all__ = [
@@ -41,6 +48,10 @@ __all__ = [
 _EPSABS = 1e-14
 _EPSREL = 1e-11
 _TAIL_CUT = 64.0  # exp(-64) ~ 1.6e-28, far below every tolerance in use
+# series terms past lambda + 12 sqrt(lambda) + 40 weigh below exp(-72)
+_SERIES_SDS = 12.0
+_SERIES_PAD = 40.0
+_SERIES_MAX_TERMS = 1 << 20  # 8 MB per weight vector
 
 
 @dataclass(frozen=True)
@@ -99,7 +110,8 @@ class CevModel:
         self.bessel_order = 1.0 / (2.0 * self._one_m_rho)
         self._u0 = s0 ** (2.0 * self._one_m_rho)
         self.gamma_args = (self.bessel_order, self._khat * self._u0)
-        self.mass = 1.0 - reg_inc_gamma(*self.gamma_args)
+        # Q(nu, lambda) directly: 1 - P(nu, lambda) cancels to 0 for tiny masses
+        self.mass = reg_inc_gamma_upper(*self.gamma_args)
         # density prefactor c, kept in logs
         self._log_c = (
             0.5 * math.log(s0)
@@ -163,12 +175,62 @@ class CevModel:
         )
 
     # ------------------------------------------------------------------
-    # quadratures in the substituted variable u = x^(2(1-rho))
+    # Poisson-Gamma series: with y = khat * K^(2(1-rho)), lambda = khat *
+    # s0^(2(1-rho)) and nu the Bessel order,
+    #   p_tilde(K)        = sum_n w_n P(n + 1, y),
+    #   E[S; 0 < S <= K]  = s0 sum_n p_n P(n + 1 + nu, y),
+    # where w_n = e^-lambda lambda^(n+nu) / Gamma(n+nu+1) and p_n is the
+    # Poisson(lambda) weight.
+    # ------------------------------------------------------------------
+    @cached_property
+    def _series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Gamma shapes n+1 and n+1+nu with their weights w_n and p_n.
+
+        n runs from 0, because the low terms dominate at deep strikes, to
+        a cut past which the Poisson(lambda) tail is negligible.
+        """
+        nu, lam = self.gamma_args
+        n_max = math.ceil(lam + _SERIES_SDS * math.sqrt(lam) + _SERIES_PAD)
+        if n_max >= _SERIES_MAX_TERMS:
+            raise QuadratureError(
+                f"CEV series needs {n_max + 1} terms at lambda={lam:.6g}; "
+                f"the limit is {_SERIES_MAX_TERMS}"
+            )
+        n = np.arange(n_max + 1, dtype=float)
+        log_lam = math.log(lam)
+        w = np.exp((n + nu) * log_lam - lam - gammaln(n + nu + 1.0))
+        p = np.exp(n * log_lam - lam - gammaln(n + 1.0))
+        return n + 1.0, w, n + 1.0 + nu, p
+
+    def _y(self, K: float, label: str) -> float:
+        if not (K > 0.0 and math.isfinite(K)):
+            raise DomainError(f"{label} requires K > 0, got {K}")
+        return self._khat * K ** (2.0 * self._one_m_rho)
+
+    def p_tilde(self, K: float) -> float:
+        """Continuous-part CDF: integral of the density over (0, K]."""
+        y = self._y(K, "p_tilde")
+        shape_w, w, _, _ = self._series
+        return float(np.sum(w * gammainc(shape_w, y)))
+
+    def put_price(self, K: float) -> float:
+        """Exact put price K * (mass + p_tilde(K)) - E[S; 0 < S <= K]."""
+        y = self._y(K, "put_price")
+        shape_w, w, shape_p, p = self._series
+        cdf = np.sum(w * gammainc(shape_w, y))
+        first = np.sum(p * gammainc(shape_p, y))
+        return float(K * (self.mass + cdf) - self.params.s0 * first)
+
+    # ------------------------------------------------------------------
+    # independent quadratures in the substituted variable u = x^(2(1-rho))
     # ------------------------------------------------------------------
     def _x_of_u(self, u):
         return u ** (1.0 / (2.0 * self._one_m_rho))
 
     def _quad(self, weight, u_lo: float, u_hi: float, label: str) -> float:
+        # scipy.integrate is imported here, off the CLI's import path
+        from scipy import integrate as _integrate
+
         one = self._one_m_rho
         rho = self.params.rho
 
@@ -204,21 +266,6 @@ class CevModel:
     def _u_tail(self) -> float:
         return (math.sqrt(self._u0) + math.sqrt(_TAIL_CUT / self._khat)) ** 2
 
-    def p_tilde(self, K: float) -> float:
-        """Continuous-part CDF: integral of the density over (0, K]."""
-        if not (K > 0.0 and math.isfinite(K)):
-            raise DomainError(f"p_tilde requires K > 0, got {K}")
-        u_hi = min(K ** (2.0 * self._one_m_rho), self._u_tail())
-        return self._quad(lambda x: 1.0, 0.0, u_hi, "p_tilde")
-
-    def put_price(self, K: float) -> float:
-        """Exact put price K*mass + integral of (K - x) against the density."""
-        if not (K > 0.0 and math.isfinite(K)):
-            raise DomainError(f"put_price requires K > 0, got {K}")
-        u_hi = min(K ** (2.0 * self._one_m_rho), self._u_tail())
-        cont = self._quad(lambda x: K - x, 0.0, u_hi, "put_price")
-        return K * self.mass + cont
-
     def continuous_mass(self) -> float:
         """Total mass of the continuous part; mass + this should be 1."""
         return self._quad(lambda x: 1.0, 0.0, self._u_tail(), "continuous_mass")
@@ -234,7 +281,7 @@ class CevModel:
         return MarketSlice(x0=self.params.s0, T=self.params.T)
 
     def exact_smile(self, K: float) -> float:
-        """Ground-truth implied volatility: quadrature put price inverted."""
+        """Ground-truth implied volatility: series put price inverted."""
         if not (0.0 < K < self.params.s0):
             raise DomainError(
                 f"exact_smile requires 0 < K < s0, got K={K}, s0={self.params.s0}"

@@ -260,12 +260,17 @@ def _build_config(args, settings: dict[str, str]) -> RunConfig:
 # ----------------------------------------------------------------------
 # row assembly
 # ----------------------------------------------------------------------
-def _approximation_cells(cfg: RunConfig, k: float) -> dict[str, Optional[float]]:
-    market, atom = cfg.market, cfg.atom
-    K = market.x0 * math.exp(k)
+def _bare_cells(cfg: RunConfig, k: float) -> dict[str, Optional[float]]:
     cells: dict[str, Optional[float]] = {name: None for name in COLUMNS}
     cells["k"] = k
-    cells["K"] = K
+    cells["K"] = cfg.market.x0 * math.exp(k)
+    return cells
+
+
+def _approximation_cells(cfg: RunConfig, k: float) -> dict[str, Optional[float]]:
+    market, atom = cfg.market, cfg.atom
+    cells = _bare_cells(cfg, k)
+    K = cells["K"]
 
     def attempt(fn):
         try:
@@ -298,7 +303,9 @@ def _bounds_cells(cfg: RunConfig, cells: dict) -> None:
 def _rows_for_command(command: str, cfg: RunConfig) -> list[dict]:
     if cfg.k_grid is None:
         raise ConfigError(f"{command} requires a [grid] section")
-    rows = [_approximation_cells(cfg, k) for k in cfg.k_grid]
+    # mc fills only its own columns, so it skips the approximations
+    cell_fn = _bare_cells if command == "mc" else _approximation_cells
+    rows = [cell_fn(cfg, k) for k in cfg.k_grid]
 
     if command in ("bounds", "compare"):
         for cells in rows:
@@ -345,15 +352,6 @@ def _rows_for_command(command: str, cfg: RunConfig) -> list[dict]:
                 f"({absorbed} of {cfg.mc.n_paths} paths)",
                 file=sys.stderr,
             )
-            for cells in rows:
-                for name in (
-                    "leading",
-                    "three_term_atom",
-                    "three_term_pT",
-                    "three_term_G",
-                    "dmhj",
-                ):
-                    cells[name] = None
     return rows
 
 

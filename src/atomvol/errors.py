@@ -30,7 +30,8 @@ class NoSolutionError(AtomvolError, ValueError):
 
 
 class QuadratureError(AtomvolError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """An oracle integral failed: a quadrature missed its tolerance or a
+    series would need more terms than allowed."""
 
 
 class ConfigError(AtomvolError, ValueError):

@@ -1,9 +1,9 @@
 """Special functions used by the pricing and asymptotics layers.
 
 Thin, guarded wrappers around the mature scipy.special implementations:
-standard normal CDF and its inverse, the regularized lower incomplete
-gamma function, and the modified Bessel function of the first kind in
-exponentially scaled form.  The wing formulas subtract nearly equal
+standard normal CDF and its inverse, the regularized lower and upper
+incomplete gamma functions, and the modified Bessel function of the
+first kind in exponentially scaled form.  The wing formulas subtract nearly equal
 quantities, so everything here is kept at full double accuracy and the
 Bessel function is always exposed through its scaled product to avoid
 overflow at large argument.
@@ -22,6 +22,7 @@ __all__ = [
     "norm_cdf_inv",
     "log_norm_cdf",
     "reg_inc_gamma",
+    "reg_inc_gamma_upper",
     "bessel_i_scaled",
     "bessel_i",
     "log_bessel_i",
@@ -56,19 +57,34 @@ def norm_cdf_inv(p: float) -> float:
     return float(_sp.ndtri(p))
 
 
+def _check_gamma_args(name: str, a: float, y: float) -> tuple[float, float]:
+    a = float(a)
+    y = float(y)
+    if a <= 0.0:
+        raise DomainError(f"{name} requires shape a > 0, got {a}")
+    if y < 0.0:
+        raise DomainError(f"{name} requires y >= 0, got {y}")
+    return a, y
+
+
 def reg_inc_gamma(a: float, y: float) -> float:
     """Regularized lower incomplete gamma function P(a, y).
 
     P(a, y) = (1/Gamma(a)) * integral_0^y t^(a-1) e^(-t) dt, nondecreasing
     in y with limit 1 as y -> infinity.
     """
-    a = float(a)
-    y = float(y)
-    if a <= 0.0:
-        raise DomainError(f"reg_inc_gamma requires shape a > 0, got {a}")
-    if y < 0.0:
-        raise DomainError(f"reg_inc_gamma requires y >= 0, got {y}")
+    a, y = _check_gamma_args("reg_inc_gamma", a, y)
     return float(_sp.gammainc(a, y))
+
+
+def reg_inc_gamma_upper(a: float, y: float) -> float:
+    """Regularized upper incomplete gamma function Q(a, y) = 1 - P(a, y).
+
+    Evaluated directly, not as 1 - reg_inc_gamma(a, y), so it keeps full
+    relative accuracy where Q is far below the double epsilon.
+    """
+    a, y = _check_gamma_args("reg_inc_gamma_upper", a, y)
+    return float(_sp.gammaincc(a, y))
 
 
 def _check_bessel_order(order: float) -> float:

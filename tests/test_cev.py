@@ -1,6 +1,8 @@
 """CEV distribution backend against high-precision frozen oracles
 (40-digit quadrature and Bessel series) and its own consistency laws:
-normalization, martingale property, and small-strike asymptotes."""
+normalization, martingale property, and small-strike asymptotes.  The
+Poisson-Gamma series behind put_price and p_tilde is also checked
+against the independent density quadrature."""
 
 import math
 
@@ -16,7 +18,7 @@ from atomvol.cev import (
     put_price,
     small_x_constant,
 )
-from atomvol.errors import DomainError
+from atomvol.errors import DomainError, QuadratureError
 
 # configuration B: moderate parameters with closed-form mass e^{-8}
 PARAMS_B = CevParams(s0=1.0, sigma=0.5, rho=0.5, T=1.0)
@@ -66,6 +68,17 @@ class TestMass:
 
     def test_mass_in_unit_interval(self, reference_model):
         assert 0.0 < reference_model.mass < 1.0
+
+    def test_tiny_mass_without_cancellation(self):
+        # 60-digit oracles of Q(nu, lambda); 1 - P(nu, lambda) loses them
+        params = CevParams(s0=1.0, sigma=0.3, rho=0.8, T=1.0)
+        assert mass_at_zero(params) == pytest.approx(
+            5.9754262674746354e-58, rel=1e-13, abs=0.0
+        )
+        params = CevParams(s0=1.0, sigma=0.3, rho=0.5, T=1.0)
+        assert mass_at_zero(params) == pytest.approx(
+            2.2336314362031661e-10, rel=1e-13, abs=0.0
+        )
 
 
 class TestDensity:
@@ -181,6 +194,71 @@ class TestPutPrice:
         assert printed_model.first_moment() == pytest.approx(0.05, abs=1e-6 * 0.05)
         model_b = CevModel(PARAMS_B)
         assert model_b.first_moment() == pytest.approx(1.0, abs=1e-6)
+
+
+class TestSeriesOracle:
+    def test_frozen_values_tight(self, printed_model):
+        # the same 40-digit oracles as above, at the series' accuracy
+        K6 = 0.05 * math.exp(-6.0)
+        assert printed_model.put_price(K6) == pytest.approx(
+            6.66023411029997695e-7, rel=1e-13, abs=0.0
+        )
+        assert printed_model.p_tilde(0.01) == pytest.approx(
+            0.0867606277783507101, rel=1e-13, abs=0.0
+        )
+        assert printed_model.exact_smile(K6) == pytest.approx(
+            1.72920231805430213, rel=1e-12
+        )
+
+    def test_against_quadrature_grid(self):
+        # sigma is drawn as an effective lognormal vol sigma * s0^(rho-1) so
+        # that every spot sees a comparable law
+        rng = np.random.default_rng(2026)
+        compared = 0
+        for i in range(48):
+            rho = rng.uniform(0.05, 0.95)
+            vol = rng.uniform(0.1, 1.0)
+            T = rng.uniform(0.25, 2.0)
+            s0 = (0.05, 1.0, 100.0)[i % 3]
+            k = rng.uniform(-12.0, -0.5)
+            sigma = vol * s0 ** (1.0 - rho)
+            model = CevModel(CevParams(s0=s0, sigma=sigma, rho=rho, T=T))
+            K = s0 * math.exp(k)
+            series = model.put_price(K)
+            # the scale only lifts the quadrature's absolute tolerance to
+            # the size of the integral; any scale gives the same value
+            scale = series - K * model.mass
+            u_hi = min(K ** (2.0 * (1.0 - rho)), model._u_tail())
+            try:
+                cont = scale * model._quad(lambda x: (K - x) / scale, 0.0, u_hi, "put")
+            except QuadratureError:
+                continue
+            quadrature = K * model.mass + cont
+            assert series == pytest.approx(quadrature, rel=1e-9, abs=0.0), (
+                rho, sigma, T, s0, k
+            )
+            compared += 1
+        assert compared >= 40
+
+    def test_near_unit_elasticity(self):
+        # 60-digit oracle; the quadrature reads 3.28e-25 here
+        params = CevParams(s0=1.0, sigma=0.3, rho=0.99, T=1.0)
+        assert put_price(params, math.exp(-3.0)) == pytest.approx(
+            2.25764201145713e-25, rel=1e-9, abs=0.0
+        )
+
+    def test_weights_built_on_first_use(self, printed_model):
+        model = CevModel(printed_model.params)
+        assert model.mass > 0.0
+        assert "_series" not in vars(model)
+        model.put_price(0.01)
+        assert "_series" in vars(model)
+
+    def test_term_limit(self):
+        # lambda = 2e8 would need 2e8 terms; refused before any allocation
+        model = CevModel(CevParams(s0=1.0, sigma=1e-4, rho=0.5, T=1.0))
+        with pytest.raises(QuadratureError):
+            model.put_price(0.5)
 
 
 class TestExactSmile:

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from atomvol.cev import CevParams, put_price
 from atomvol.cli import COLUMNS, main
 
 CEV_CONFIG = """\
@@ -312,15 +313,16 @@ class TestExitCodes:
         assert code == 2
 
     def test_numerical_failure_exit_code(self, capsys, cev_config):
-        # vol so small that deep-wing put prices underflow to zero:
-        # the oracle inversion has nothing to work with
+        # vol so small that the true mass at zero (about 2e-457) lies below
+        # the double range: the mass rounds to zero and the atom model
+        # behind every approximation rejects it
         code, _, err = run_cli(
             capsys,
             [
                 "compare",
                 "--config",
                 cev_config,
-                "--model.sigma=0.02",
+                "--model.sigma=0.015",
                 "--grid.k_min=-10",
                 "--grid.k_max=-8",
                 "--grid.n_points=2",
@@ -328,6 +330,26 @@ class TestExitCodes:
         )
         assert code == 3
         assert "numerical failure" in err
+
+    def test_tiny_mass_compare_succeeds(self, capsys, cev_config):
+        # mass 2.2878870037668306e-257 is still a double, and so is the put
+        argv = [
+            "compare",
+            "--config",
+            cev_config,
+            "--model.sigma=0.02",
+            "--grid.k_min=-10",
+            "--grid.k_max=-8",
+            "--grid.n_points=2",
+        ]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert all(dict(zip(header, row))["exact_iv"] != "" for row in rows)
+        params = CevParams(s0=0.05, sigma=0.02, rho=0.6, T=1.2)
+        assert put_price(params, 0.05 * math.exp(-10.0)) == pytest.approx(
+            5.6335997869416347e-256, rel=1e-12, abs=0.0
+        )
 
 
 class TestDeterminism:

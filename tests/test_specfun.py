@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from atomvol import bessel_i, bessel_i_scaled, norm_cdf, norm_cdf_inv, reg_inc_gamma
+from atomvol import (
+    bessel_i,
+    bessel_i_scaled,
+    norm_cdf,
+    norm_cdf_inv,
+    reg_inc_gamma,
+    reg_inc_gamma_upper,
+)
 from atomvol.errors import DomainAboveError, DomainBelowError, DomainError
 from atomvol.specfun import log_bessel_i
 
@@ -139,6 +146,27 @@ class TestRegIncGamma:
             reg_inc_gamma(0.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_gamma(1.0, -0.1)
+
+
+class TestRegIncGammaUpper:
+    @pytest.mark.parametrize("a, y", [(0.3, 0.5), (1.25, 2.0), (2.5, 5.0)])
+    def test_complement_of_lower(self, a, y):
+        assert reg_inc_gamma_upper(a, y) + reg_inc_gamma(a, y) == pytest.approx(
+            1.0, abs=1e-15
+        )
+
+    @pytest.mark.parametrize("y", [1.0, 50.0, 700.0])
+    def test_shape_one_closed_form_far_tail(self, y):
+        # Q(1, y) = e^-y, which 1 - P(1, y) rounds to 0 past y ~ 37
+        assert reg_inc_gamma_upper(1.0, y) == pytest.approx(
+            math.exp(-y), rel=1e-13, abs=0.0
+        )
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            reg_inc_gamma_upper(0.0, 1.0)
+        with pytest.raises(DomainError):
+            reg_inc_gamma_upper(1.0, -0.1)
 
 
 class TestBessel:
