@@ -1,6 +1,7 @@
 """Small-strike implied-volatility asymptotics for asset-price models
 whose terminal distribution carries an atom at zero, with a CEV
-quadrature oracle and a reproducible Monte Carlo harness."""
+oracle summed as a Poisson-Gamma series and a reproducible Monte Carlo
+harness."""
 
 from atomvol.blackscholes import (
     MarketSlice,
@@ -38,8 +39,6 @@ from atomvol.specfun import (
 from atomvol.wing import (
     AtomModel,
     BoundsConfig,
-    SmileApproximation,
-    approximate_smile,
     estims_ratio,
     g_from_put,
     sign_classify,
@@ -85,8 +84,6 @@ __all__ = [
     "reg_inc_gamma_upper",
     "AtomModel",
     "BoundsConfig",
-    "SmileApproximation",
-    "approximate_smile",
     "estims_ratio",
     "g_from_put",
     "sign_classify",

@@ -34,16 +34,7 @@ from atomvol.errors import DomainError, QuadratureError
 from atomvol.specfun import reg_inc_gamma, reg_inc_gamma_upper  # noqa: F401
 from atomvol.wing import AtomModel
 
-__all__ = [
-    "CevParams",
-    "CevModel",
-    "mass_at_zero",
-    "density",
-    "small_x_constant",
-    "p_tilde",
-    "put_price",
-    "exact_smile",
-]
+__all__ = ["CevParams", "CevModel"]
 
 _EPSABS = 1e-14
 _EPSREL = 1e-11
@@ -297,31 +288,3 @@ class CevModel:
             p_tilde=lambda u: self.p_tilde(u * s0),
             put=lambda k: self.put_price(k * s0) / s0,
         )
-
-
-# ----------------------------------------------------------------------
-# functional surface over a throwaway model instance
-# ----------------------------------------------------------------------
-def mass_at_zero(params: CevParams) -> float:
-    """Probability that the CEV price is exactly zero at maturity."""
-    return CevModel(params).mass
-
-
-def density(params: CevParams, x):
-    return CevModel(params).density(x)
-
-
-def small_x_constant(params: CevParams) -> float:
-    return CevModel(params).small_x_constant()
-
-
-def p_tilde(params: CevParams, K: float) -> float:
-    return CevModel(params).p_tilde(K)
-
-
-def put_price(params: CevParams, K: float) -> float:
-    return CevModel(params).put_price(K)
-
-
-def exact_smile(params: CevParams, K: float) -> float:
-    return CevModel(params).exact_smile(K)

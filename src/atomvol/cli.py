@@ -63,7 +63,6 @@ COLUMNS = [
 
 @dataclass
 class RunConfig:
-    model_type: str  # "cev" or "atom"
     market: MarketSlice
     atom: AtomModel
     cev_model: Optional[CevModel]
@@ -245,7 +244,6 @@ def _build_config(args, settings: dict[str, str]) -> RunConfig:
         raise ConfigError(f"format must be csv or svg, got {out_format!r}")
 
     return RunConfig(
-        model_type=model_type,
         market=market,
         atom=atom,
         cev_model=cev_model,
@@ -260,98 +258,87 @@ def _build_config(args, settings: dict[str, str]) -> RunConfig:
 # ----------------------------------------------------------------------
 # row assembly
 # ----------------------------------------------------------------------
-def _bare_cells(cfg: RunConfig, k: float) -> dict[str, Optional[float]]:
-    cells: dict[str, Optional[float]] = {name: None for name in COLUMNS}
-    cells["k"] = k
-    cells["K"] = cfg.market.x0 * math.exp(k)
-    return cells
+# the column groups each table command fills besides k and K; mc fills
+# its own columns from one simulation over the whole grid
+_COLUMN_GROUPS = {
+    "smile": {"approximations"},
+    "bounds": {"band"},
+    "compare": {"approximations", "band", "exact"},
+    "mc": set(),
+}
 
 
-def _approximation_cells(cfg: RunConfig, k: float) -> dict[str, Optional[float]]:
-    market, atom = cfg.market, cfg.atom
-    cells = _bare_cells(cfg, k)
-    K = cells["K"]
-
-    def attempt(fn):
-        try:
-            return fn()
-        except DomainError:
-            return None
-
-    cells["three_term_atom"] = attempt(
-        lambda: smile_three_term_atom(market, K, atom.mass)
-    )
-    cells["three_term_G"] = attempt(lambda: smile_three_term_G(market, K, atom))
-    if atom.p_tilde is not None:
-        cells["three_term_pT"] = attempt(lambda: smile_three_term_pT(market, K, atom))
-    cells["dmhj"] = attempt(lambda: smile_dmhj(market, K, atom.mass))
-    if atom.put is not None:
-        cells["leading"] = attempt(
-            lambda: smile_leading(market, K, atom.put(K / market.x0) * market.x0)
-        )
-    return cells
-
-
-def _bounds_cells(cfg: RunConfig, cells: dict) -> None:
+def _attempt(fn):
+    """fn(), or None where a formula's domain condition fails at this strike."""
     try:
-        lower, upper = smile_bounds(cfg.market, cells["K"], cfg.atom, cfg.bounds)
-        cells["lower"], cells["upper"] = lower, upper
+        return fn()
     except DomainError:
-        pass
+        return None
+
+
+def _row(cfg: RunConfig, groups: set, k: float) -> dict[str, Optional[float]]:
+    market, atom = cfg.market, cfg.atom
+    K = market.x0 * math.exp(k)
+    cells: dict[str, Optional[float]] = dict.fromkeys(COLUMNS)
+    cells["k"], cells["K"] = k, K
+    if "approximations" in groups:
+        cells["three_term_atom"] = _attempt(
+            lambda: smile_three_term_atom(market, K, atom.mass)
+        )
+        cells["three_term_G"] = _attempt(lambda: smile_three_term_G(market, K, atom))
+        if atom.p_tilde is not None:
+            cells["three_term_pT"] = _attempt(
+                lambda: smile_three_term_pT(market, K, atom)
+            )
+        cells["dmhj"] = _attempt(lambda: smile_dmhj(market, K, atom.mass))
+        if atom.put is not None:
+            cells["leading"] = _attempt(
+                lambda: smile_leading(market, K, atom.put(K / market.x0) * market.x0)
+            )
+    if "band" in groups:
+        band = _attempt(lambda: smile_bounds(market, K, atom, cfg.bounds))
+        if band is not None:
+            cells["lower"], cells["upper"] = band
+    if "exact" in groups:
+        exact = cfg.cev_model.exact_smile(K)
+        cells["exact_iv"] = exact
+        if cells["three_term_atom"] is not None:
+            cells["err_three_term"] = abs(cells["three_term_atom"] - exact)
+        if cells["dmhj"] is not None:
+            cells["err_dmhj"] = abs(cells["dmhj"] - exact)
+    return cells
 
 
 def _rows_for_command(command: str, cfg: RunConfig) -> list[dict]:
     if cfg.k_grid is None:
         raise ConfigError(f"{command} requires a [grid] section")
-    # mc fills only its own columns, so it skips the approximations
-    cell_fn = _bare_cells if command == "mc" else _approximation_cells
-    rows = [cell_fn(cfg, k) for k in cfg.k_grid]
+    if command == "compare" and cfg.cev_model is None:
+        raise ConfigError("compare requires a cev model (oracle)")
+    with_mc = command == "mc" or (command == "compare" and cfg.mc is not None)
+    if with_mc and cfg.cev_model is None:
+        raise ConfigError("mc requires a cev model")
+    if with_mc and cfg.mc is None:
+        raise ConfigError("mc requires an [mc] section")
 
-    if command in ("bounds", "compare"):
-        for cells in rows:
-            _bounds_cells(cfg, cells)
-    if command == "bounds":
-        # bounds-only table: keep the band, drop the approximations
-        for cells in rows:
-            for name in (
-                "leading",
-                "three_term_atom",
-                "three_term_pT",
-                "three_term_G",
-                "dmhj",
-            ):
-                cells[name] = None
+    groups = _COLUMN_GROUPS[command]
+    rows = [_row(cfg, groups, k) for k in cfg.k_grid]
+    if not with_mc:
+        return rows
 
-    if command == "compare":
-        if cfg.cev_model is None:
-            raise ConfigError("compare requires a cev model (oracle)")
-        for cells in rows:
-            exact = cfg.cev_model.exact_smile(cells["K"])
-            cells["exact_iv"] = exact
-            if cells["three_term_atom"] is not None:
-                cells["err_three_term"] = abs(cells["three_term_atom"] - exact)
-            if cells["dmhj"] is not None:
-                cells["err_dmhj"] = abs(cells["dmhj"] - exact)
-
-    if command == "mc" or (command == "compare" and cfg.mc is not None):
-        if cfg.cev_model is None:
-            raise ConfigError("mc requires a cev model")
-        if cfg.mc is None:
-            raise ConfigError("mc requires an [mc] section")
-        estimates = mc_smile(cfg.cev_model.params, cfg.mc, cfg.k_grid)
-        sqT = math.sqrt(cfg.market.T)
-        for cells, est in zip(rows, estimates):
-            if est.normalized_iv is not None:
-                iv = est.normalized_iv * abs(est.k) / sqT
-                cells["mc_iv"] = iv
-                cells["mc_se"] = est.std_err / vega(cfg.market, cells["K"], iv)
-        if command == "mc":
-            absorbed = estimates[0].n_absorbed if estimates else 0
-            print(
-                f"absorbed_fraction = {absorbed / cfg.mc.n_paths:.17g} "
-                f"({absorbed} of {cfg.mc.n_paths} paths)",
-                file=sys.stderr,
-            )
+    estimates = mc_smile(cfg.cev_model.params, cfg.mc, cfg.k_grid)
+    sqT = math.sqrt(cfg.market.T)
+    for cells, est in zip(rows, estimates):
+        if est.normalized_iv is not None:
+            iv = est.normalized_iv * abs(est.k) / sqT
+            cells["mc_iv"] = iv
+            cells["mc_se"] = est.std_err / vega(cfg.market, cells["K"], iv)
+    if command == "mc":
+        absorbed = estimates[0].n_absorbed if estimates else 0
+        print(
+            f"absorbed_fraction = {absorbed / cfg.mc.n_paths:.17g} "
+            f"({absorbed} of {cfg.mc.n_paths} paths)",
+            file=sys.stderr,
+        )
     return rows
 
 

@@ -47,9 +47,12 @@ def norm_cdf_inv(p: float) -> float:
     """Inverse of the standard normal CDF.
 
     Raises DomainBelowError / DomainAboveError outside the open unit
-    interval.  Round-trips through norm_cdf to better than 1e-12 in p.
+    interval and DomainError for nan.  Round-trips through norm_cdf to
+    better than 1e-12 in p.
     """
     p = float(p)
+    if math.isnan(p):
+        raise DomainError("norm_cdf_inv requires a level, got nan")
     if p <= 0.0:
         raise DomainBelowError(f"norm_cdf_inv requires p > 0, got {p}")
     if p >= 1.0:

@@ -32,7 +32,6 @@ from atomvol.specfun import norm_cdf, norm_cdf_inv
 __all__ = [
     "AtomModel",
     "BoundsConfig",
-    "SmileApproximation",
     "u_k",
     "u_k_inv",
     "g_from_put",
@@ -46,7 +45,6 @@ __all__ = [
     "estims_ratio",
     "sign_classify",
     "dmhj_psi_envelope",
-    "approximate_smile",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -96,10 +94,13 @@ def u_k_inv(y: float, K: Optional[float] = None, *, log_k: Optional[float] = Non
     Bisection against u_k: monotone, derivative-free, robust next to the
     left endpoint where the derivative of U_K vanishes.  Raises
     DomainBelowError for y below U_K(-sqrt(2 log K)) (the strike is not
-    deep enough for that level) and DomainAboveError for y >= 1.
+    deep enough for that level), DomainAboveError for y >= 1 and
+    DomainError for nan.
     """
     L = _depth(K, log_k)
     y = float(y)
+    if math.isnan(y):
+        raise DomainError("u_k_inv requires a level, got nan")
     if y >= 1.0:
         raise DomainAboveError(f"u_k_inv requires y < 1, got {y}")
     lo, lo_val = _u_k_left_edge(L)
@@ -142,16 +143,14 @@ class AtomModel:
     """Terminal-law summary in spot-normalized units (spot = 1).
 
     mass     -- probability of the price being exactly zero, in (0, 1)
-    g        -- optional direct evaluator K -> G(K) for K > 1
     p_tilde  -- optional continuous-part CDF u -> P(0 < X <= u)
     put      -- optional normalized put price k -> E (k - X)^+, 0 < k < 1
 
-    G evaluation precedence is g, then put via g_from_put, then the
-    constant mass; this mirrors the three formula variants.
+    G comes from the put via g_from_put where there is one, and is the
+    constant mass otherwise.
     """
 
     mass: float
-    g: Optional[Callable[[float], float]] = None
     p_tilde: Optional[Callable[[float], float]] = None
     put: Optional[Callable[[float], float]] = None
 
@@ -160,9 +159,7 @@ class AtomModel:
             raise DomainError(f"mass must lie in (0, 1), got {self.mass}")
 
     def g_value(self, K: float) -> float:
-        """G(K) through the best available evaluator."""
-        if self.g is not None:
-            return self.g(K)
+        """G(K) from the put, or the mass without one."""
         if self.put is not None:
             return g_from_put(self.put, K)
         return self.mass
@@ -184,19 +181,6 @@ class BoundsConfig:
     def __post_init__(self):
         if not (self.epsilon > 0.0):
             raise DomainError(f"epsilon must be positive, got {self.epsilon}")
-
-
-@dataclass(frozen=True)
-class SmileApproximation:
-    """Per-strike record of the approximation family at one wing point."""
-
-    K: float
-    leading: Optional[float]
-    three_term: float
-    dmhj: float
-    lower: Optional[float]
-    upper: Optional[float]
-    u_inv_value: float
 
 
 def _wing_depth(market: MarketSlice, K: float) -> float:
@@ -263,24 +247,29 @@ def smile_three_term_G(market: MarketSlice, K: float, model: AtomModel) -> float
     return _three_term(market.T, L, u)
 
 
-def _h_transform(u: float, L: float) -> float:
-    """H(u; L) = u^2 + u sqrt(u^2 + 2L); increasing in u on the valid branch."""
-    return u * u + u * math.sqrt(u * u + 2.0 * L)
+def _sqrt_form(T: float, L: float, u: float) -> float:
+    """sqrt(2/T) * sqrt(L + H(u; L)), H(u; L) = u^2 + u sqrt(u^2 + 2L).
+
+    H is increasing in u on the valid branch of the U_K inverse, where
+    the radicand is nonnegative.
+    """
+    radicand = L + (u * u + u * math.sqrt(u * u + 2.0 * L))
+    if radicand < 0.0:  # cannot happen on the valid branch
+        raise AssertionError(f"negative radicand {radicand} in sqrt form")
+    return _SQRT2 / math.sqrt(T) * math.sqrt(radicand)
 
 
 def smile_sqrt_form(market: MarketSlice, K: float, model: AtomModel) -> float:
     """Unexpanded sqrt form sqrt(2/T) * sqrt(L + H(u1; L)), u1 from G.
 
     This equals the upper bound of smile_bounds and carries the same
-    one-sided O(L^(-3/2)) error as the three-term expansion.
+    one-sided O(L^(-3/2)) error as the three-term expansion.  Unlike
+    smile_bounds it needs no deflated level, so it exists at shallow
+    strikes where the lower bound raises DomainBelowError.
     """
     L = _wing_depth(market, K)
     u1 = u_k_inv(model.g_value(market.x0 / K), log_k=L)
-    h1 = _h_transform(u1, L)
-    radicand = L + h1
-    if radicand < 0.0:  # cannot happen on the valid branch
-        raise AssertionError(f"negative radicand {radicand} in sqrt form")
-    return _SQRT2 / math.sqrt(market.T) * math.sqrt(radicand)
+    return _sqrt_form(market.T, L, u1)
 
 
 def smile_bounds(
@@ -308,12 +297,7 @@ def smile_bounds(
     deflation = (3.0 * a * a + 2.0 + cfg.epsilon) / (8.0 * _SQRT_PI * L**1.5)
     u1 = u_k_inv(g, log_k=L)
     u2 = u_k_inv(g - deflation, log_k=L)
-    sqT = math.sqrt(market.T)
-    upper_rad = L + _h_transform(u1, L)
-    lower_rad = L + _h_transform(u2, L)
-    if upper_rad < 0.0 or lower_rad < 0.0:
-        raise AssertionError("negative radicand in smile bounds")
-    return _SQRT2 / sqT * math.sqrt(lower_rad), _SQRT2 / sqT * math.sqrt(upper_rad)
+    return _sqrt_form(market.T, L, u2), _sqrt_form(market.T, L, u1)
 
 
 def smile_dmhj(market: MarketSlice, K: float, mass: float) -> float:
@@ -334,6 +318,21 @@ def smile_dmhj(market: MarketSlice, K: float, mass: float) -> float:
     )
 
 
+def _strike_depth(K: Optional[float], depth: Optional[float]) -> float:
+    """Resolve the (K, depth) calling convention into depth = log(1/K) > 0."""
+    if (K is None) == (depth is None):
+        raise DomainError("pass exactly one of K or depth")
+    if depth is None:
+        K = float(K)
+        if not (0.0 < K < 1.0):
+            raise DomainError(f"requires 0 < K < 1, got {K}")
+        depth = -math.log(K)
+    depth = float(depth)
+    if not depth > 0.0:  # also refuses nan
+        raise DomainError(f"depth must be positive, got {depth}")
+    return depth
+
+
 def estims_ratio(
     mass: float, K: Optional[float] = None, *, depth: Optional[float] = None
 ) -> float:
@@ -346,16 +345,7 @@ def estims_ratio(
     """
     if not (0.0 < mass < 1.0):
         raise DomainError(f"mass must lie in (0, 1), got {mass}")
-    if (K is None) == (depth is None):
-        raise DomainError("pass exactly one of K or depth")
-    if depth is None:
-        K = float(K)
-        if not (0.0 < K < 1.0):
-            raise DomainError(f"requires 0 < K < 1, got {K}")
-        depth = -math.log(K)
-    depth = float(depth)
-    if depth <= 0.0:
-        raise DomainError(f"depth must be positive, got {depth}")
+    depth = _strike_depth(K, depth)
     if mass < 0.5 and norm_cdf(-math.sqrt(2.0 * depth)) >= mass:
         raise DomainBelowError(
             f"existence condition fails: N(-sqrt(2*{depth:.6g})) >= {mass}"
@@ -374,16 +364,7 @@ def sign_classify(
     positive case the perturbed quantile and the plain normal quantile
     have opposite signs.
     """
-    if (K is None) == (depth is None):
-        raise DomainError("pass exactly one of K or depth")
-    if depth is None:
-        K = float(K)
-        if not (0.0 < K < 1.0):
-            raise DomainError(f"requires 0 < K < 1, got {K}")
-        depth = -math.log(K)
-    depth = float(depth)
-    if depth <= 0.0:
-        raise DomainError(f"depth must be positive, got {depth}")
+    depth = _strike_depth(K, depth)
     if not (0.0 < mass < 0.5):
         raise DomainError(
             f"trichotomy is stated for 0 < mass < 1/2, got {mass}"
@@ -417,44 +398,3 @@ def dmhj_psi_envelope(T: float, mass: float, log_k: float, psi_value: float) -> 
     return _SQRT2 / (2.0 * sqT) / math.sqrt(log_k) + math.sqrt(
         2.0 * math.pi
     ) / sqT * math.exp(0.5 * a * a) * psi_value
-
-
-def approximate_smile(
-    market: MarketSlice,
-    K: float,
-    model: AtomModel,
-    cfg: BoundsConfig = BoundsConfig(),
-    with_bounds: bool = True,
-) -> SmileApproximation:
-    """Assemble the full per-strike record.
-
-    three_term uses the model's best G evaluator (g, put-derived, or the
-    bare mass); leading requires a put evaluator and is None without
-    one; bounds are None where the lower bound's domain condition fails.
-    """
-    L = _wing_depth(market, K)
-    g = model.g_value(market.x0 / K)
-    u = u_k_inv(g, log_k=L)
-    three = _three_term(market.T, L, u)
-    dmhj_value = smile_dmhj(market, K, model.mass)
-
-    leading = None
-    if model.put is not None:
-        put_abs = model.put(K / market.x0) * market.x0
-        leading = smile_leading(market, K, put_abs)
-
-    lower = upper = None
-    if with_bounds:
-        try:
-            lower, upper = smile_bounds(market, K, model, cfg)
-        except DomainBelowError:
-            pass
-    return SmileApproximation(
-        K=K,
-        leading=leading,
-        three_term=three,
-        dmhj=dmhj_value,
-        lower=lower,
-        upper=upper,
-        u_inv_value=u,
-    )

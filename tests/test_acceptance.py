@@ -47,7 +47,6 @@ from atomvol import (
     u_k_inv,
     vega,
 )
-from atomvol.cev import mass_at_zero
 from atomvol.cli import main
 
 from conftest import PRINTED_PARAMS
@@ -67,7 +66,7 @@ def test_criterion_01_mass_at_zero():
     timings = []
     for _ in range(3):
         start = time.perf_counter()
-        mass = mass_at_zero(PRINTED_PARAMS)
+        mass = CevModel(PRINTED_PARAMS).mass
         timings.append(time.perf_counter() - start)
     runtime_ok = min(timings) < 1e-3
     value_ok = abs(mass - 0.0707) <= 5e-4

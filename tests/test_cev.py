@@ -10,14 +10,6 @@ import numpy as np
 import pytest
 
 from atomvol import CevModel, CevParams
-from atomvol.cev import (
-    density,
-    exact_smile,
-    mass_at_zero,
-    p_tilde,
-    put_price,
-    small_x_constant,
-)
 from atomvol.errors import DomainError, QuadratureError
 
 # configuration B: moderate parameters with closed-form mass e^{-8}
@@ -58,13 +50,13 @@ class TestMass:
 
     def test_short_maturity_limit(self):
         params = CevParams(s0=0.05, sigma=0.2, rho=0.6, T=1e-4)
-        assert mass_at_zero(params) < 1e-12
+        assert CevModel(params).mass < 1e-12
 
     def test_unit_shape_closed_form(self):
         # rho = 1/2 makes the gamma shape 1, so the mass is exp(-argument)
         assert CevModel(PARAMS_B).mass == pytest.approx(math.exp(-8.0), rel=1e-12)
         params = CevParams(s0=1.0, sigma=1.0, rho=0.5, T=1.0)
-        assert mass_at_zero(params) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert CevModel(params).mass == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_mass_in_unit_interval(self, reference_model):
         assert 0.0 < reference_model.mass < 1.0
@@ -72,11 +64,11 @@ class TestMass:
     def test_tiny_mass_without_cancellation(self):
         # 60-digit oracles of Q(nu, lambda); 1 - P(nu, lambda) loses them
         params = CevParams(s0=1.0, sigma=0.3, rho=0.8, T=1.0)
-        assert mass_at_zero(params) == pytest.approx(
+        assert CevModel(params).mass == pytest.approx(
             5.9754262674746354e-58, rel=1e-13, abs=0.0
         )
         params = CevParams(s0=1.0, sigma=0.3, rho=0.5, T=1.0)
-        assert mass_at_zero(params) == pytest.approx(
+        assert CevModel(params).mass == pytest.approx(
             2.2336314362031661e-10, rel=1e-13, abs=0.0
         )
 
@@ -123,7 +115,7 @@ class TestSmallXConstant:
         assert printed_model.small_x_constant() == pytest.approx(
             1.1341811485318493, rel=1e-12
         )
-        assert small_x_constant(PARAMS_B) == pytest.approx(
+        assert CevModel(PARAMS_B).small_x_constant() == pytest.approx(
             0.0214696081857607577, rel=1e-12
         )
 
@@ -174,7 +166,7 @@ class TestPutPrice:
         assert printed_model.put_price(K6) == pytest.approx(
             6.66023411029997695e-7, rel=1e-9
         )
-        assert put_price(PARAMS_B, math.exp(-4.0)) == pytest.approx(
+        assert CevModel(PARAMS_B).put_price(math.exp(-4.0)) == pytest.approx(
             1.02966700687673586e-5, rel=1e-9
         )
 
@@ -243,7 +235,7 @@ class TestSeriesOracle:
     def test_near_unit_elasticity(self):
         # 60-digit oracle; the quadrature reads 3.28e-25 here
         params = CevParams(s0=1.0, sigma=0.3, rho=0.99, T=1.0)
-        assert put_price(params, math.exp(-3.0)) == pytest.approx(
+        assert CevModel(params).put_price(math.exp(-3.0)) == pytest.approx(
             2.25764201145713e-25, rel=1e-9, abs=0.0
         )
 
@@ -267,7 +259,7 @@ class TestExactSmile:
         assert printed_model.exact_smile(0.05 * math.exp(-6.0)) == pytest.approx(
             1.72920231805430213, rel=1e-9
         )
-        assert exact_smile(PARAMS_B, math.exp(-4.0)) == pytest.approx(
+        assert CevModel(PARAMS_B).exact_smile(math.exp(-4.0)) == pytest.approx(
             1.164858236838021, rel=1e-9
         )
 
@@ -285,18 +277,6 @@ class TestExactSmile:
             printed_model.exact_smile(0.05)
         with pytest.raises(DomainError):
             printed_model.exact_smile(0.06)
-
-
-class TestFunctionalSurface:
-    def test_wrappers_match_model(self, printed_model):
-        params = printed_model.params
-        assert mass_at_zero(params) == printed_model.mass
-        assert density(params, 0.03) == pytest.approx(
-            printed_model.density(0.03), rel=1e-14
-        )
-        assert p_tilde(params, 0.02) == pytest.approx(
-            printed_model.p_tilde(0.02), rel=1e-12
-        )
 
 
 class TestAtomModelAdapter:

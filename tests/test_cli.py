@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from atomvol.cev import CevParams, put_price
+from atomvol.cev import CevModel, CevParams
 from atomvol.cli import COLUMNS, main
 
 CEV_CONFIG = """\
@@ -250,6 +250,34 @@ class TestCompare:
         assert any(cell != "" for cell in filled)
 
 
+class TestCommandsAgree:
+    def test_smile_and_bounds_cells_match_compare(
+        self, capsys, cev_config, reference_sigma
+    ):
+        # the band is defined only on the deeper part of this grid
+        argv = [
+            "--config",
+            cev_config,
+            f"--model.sigma={reference_sigma!r}",
+            "--grid.k_min=-10",
+            "--grid.k_max=-2",
+            "--grid.n_points=17",
+        ]
+        tables = {}
+        for command in ("smile", "bounds", "compare"):
+            code, out, _ = run_cli(capsys, [command, *argv])
+            assert code == 0
+            header, rows = parse_csv(out)
+            tables[command] = [dict(zip(header, row)) for row in rows]
+        lower = [record["lower"] for record in tables["compare"]]
+        assert "" in lower and any(cell != "" for cell in lower)
+        for command in ("smile", "bounds"):
+            for record, full in zip(tables[command], tables["compare"]):
+                for name, cell in record.items():
+                    if cell != "":
+                        assert cell == full[name], (command, name, record["k"])
+
+
 class TestMc:
     def test_rows_and_summary(self, capsys, cev_config):
         code, out, err = run_cli(
@@ -347,7 +375,7 @@ class TestExitCodes:
         header, rows = parse_csv(out)
         assert all(dict(zip(header, row))["exact_iv"] != "" for row in rows)
         params = CevParams(s0=0.05, sigma=0.02, rho=0.6, T=1.2)
-        assert put_price(params, 0.05 * math.exp(-10.0)) == pytest.approx(
+        assert CevModel(params).put_price(0.05 * math.exp(-10.0)) == pytest.approx(
             5.6335997869416347e-256, rel=1e-12, abs=0.0
         )
 

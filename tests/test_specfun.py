@@ -115,6 +115,8 @@ class TestNormCdfInv:
             norm_cdf_inv(0.0)
         with pytest.raises(DomainAboveError):
             norm_cdf_inv(1.0)
+        with pytest.raises(DomainError):
+            norm_cdf_inv(math.nan)
 
 
 class TestRegIncGamma:

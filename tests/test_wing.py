@@ -11,7 +11,6 @@ from atomvol import (
     AtomModel,
     BoundsConfig,
     MarketSlice,
-    approximate_smile,
     estims_ratio,
     g_from_put,
     norm_cdf,
@@ -109,6 +108,8 @@ class TestUKInv:
             u_k_inv(1.0, log_k=4.0)
         with pytest.raises(DomainBelowError):
             u_k_inv(-0.5, log_k=4.0)
+        with pytest.raises(DomainError):
+            u_k_inv(math.nan, log_k=4.0)
 
 
 class TestGFromPut:
@@ -164,7 +165,7 @@ class TestThreeTerm:
     def test_constant_g_equals_atom(self):
         market = MarketSlice(x0=1.0, T=1.2)
         mass = 0.0707
-        model = AtomModel(mass=mass, g=lambda K: mass)
+        model = AtomModel(mass=mass)
         K = math.exp(-5.0)
         assert smile_three_term_G(market, K, model) == pytest.approx(
             smile_three_term_atom(market, K, mass), rel=1e-15
@@ -219,6 +220,11 @@ class TestThreeTerm:
             )
             assert scaled == pytest.approx(base, abs=1e-10)
 
+    def test_nan_mass_raises(self):
+        market = MarketSlice(x0=1.0, T=1.2)
+        with pytest.raises(DomainError):
+            smile_three_term_atom(market, math.exp(-6.0), math.nan)
+
     def test_rejects_shallow_strikes(self):
         market = MarketSlice(x0=1.0, T=1.0)
         with pytest.raises(DomainError):
@@ -239,6 +245,11 @@ class TestDmhj:
         market = MarketSlice(x0=1.0, T=1.2)
         value = smile_dmhj(market, math.exp(-6.0), 0.0707)
         assert value == pytest.approx(2.1047670338430695, abs=1e-12)
+
+    def test_nan_mass_raises(self):
+        market = MarketSlice(x0=1.0, T=1.2)
+        with pytest.raises(DomainError):
+            smile_dmhj(market, math.exp(-6.0), math.nan)
 
     def test_bridge_toward_three_term(self):
         # sqrt(2 L) * (u - N^{-1}(m)) -> 1 links the two expansions
@@ -293,7 +304,7 @@ class TestBounds:
         # constant-G model with epsilon -> 0: the band width scales as L^{-3/2}
         market = MarketSlice(x0=1.0, T=1.2)
         mass = 0.2
-        model = AtomModel(mass=mass, g=lambda K: mass)
+        model = AtomModel(mass=mass)
         cfg = BoundsConfig(epsilon=1e-9)
         scaled = []
         for L in (8.0, 16.0, 32.0, 64.0):
@@ -352,41 +363,11 @@ class TestSignClassify:
             sign_classify(0.5, depth=4.0)
         with pytest.raises(DomainError):
             sign_classify(0.7, depth=4.0)
+        with pytest.raises(DomainError):
+            sign_classify(0.3, depth=math.nan)
 
 
 class TestAggregate:
-    def test_record_fields(self, reference_model):
-        market = reference_model.market()
-        model = reference_model.atom_model()
-        K = 0.05 * math.exp(-6.0)
-        record = approximate_smile(market, K, model)
-        assert record.K == K
-        assert record.lower is not None and record.upper is not None
-        assert record.lower <= record.upper
-        assert record.leading is not None
-        assert record.three_term == pytest.approx(
-            smile_three_term_G(market, K, model), rel=1e-14
-        )
-        assert record.u_inv_value == pytest.approx(
-            u_k_inv(model.g_value(market.x0 / K), log_k=6.0), abs=1e-12
-        )
-
-    def test_bounds_none_when_undefined(self, printed_model):
-        record = approximate_smile(
-            printed_model.market(), 0.05 * math.exp(-6.0), printed_model.atom_model()
-        )
-        assert record.lower is None and record.upper is None
-
-    def test_bounds_skipped_on_request(self, reference_model):
-        record = approximate_smile(
-            reference_model.market(),
-            0.05 * math.exp(-8.0),
-            reference_model.atom_model(),
-            with_bounds=False,
-        )
-        assert record.lower is None and record.upper is None
-        assert record.three_term > 0.0
-
     def test_psi_envelope_positive_and_reported(self, reference_model):
         model = reference_model.atom_model()
         log_k = 8.0
