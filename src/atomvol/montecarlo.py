@@ -7,6 +7,21 @@ Stafford's mix13 finalizer) evaluated at an index composed from
 draw is a pure function of those coordinates, so results are bit
 reproducible, independent of chunking, and safe to evaluate in
 parallel in any order.
+
+The Euler kernel does no index work and no allocation per step.  The
+SplitMix64 state of stream i at step s is seed + GOLDEN*(i*n_steps + 1
++ s) modulo 2^64, so each path's key seed + GOLDEN*(i*n_steps + 1) is
+computed once and a step adds the scalar GOLDEN*s.  The draws and the
+update run in place through buffers allocated once per chunk.  The
+update is applied to every path of the working set, absorbed or not,
+then clamped at 0: for rho in (0, 1), 0**rho = 0, so a path at 0 gets
+a zero increment and stays at 0.  Every few steps the working set
+drops its absorbed paths, once they are a large enough share of it
+(see _COMPACT_EVERY and _COMPACT_SHARE).  The output is bit-identical
+to stepping only the live paths, with one exception of odds 2^-53 per
+draw: the uniform of the top 53-bit value rounds to 1, its draw is
+infinite, and 0 times infinity turns an absorbed path into NaN where
+the live-path loop leaves it at 0.
 """
 
 from __future__ import annotations
@@ -31,9 +46,15 @@ __all__ = [
     "mc_smile",
 ]
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
+# compaction cadence of the Euler kernel: every _COMPACT_EVERY steps, drop
+# the absorbed paths from the working set if they are at least
+# _COMPACT_SHARE of it
+_COMPACT_EVERY = 8
+_COMPACT_SHARE = 0.125
 
 
 @dataclass(frozen=True)
@@ -66,10 +87,36 @@ class McSmileEstimate:
     n_absorbed: int
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX_1
-    z = (z ^ (z >> np.uint64(27))) * _MIX_2
-    return z ^ (z >> np.uint64(31))
+def _counter_keys(seed: int, stream: np.ndarray, n_steps: int) -> np.ndarray:
+    """SplitMix64 state of each stream at step 0: seed + GOLDEN*(stream*n_steps + 1).
+
+    Step s of a stream reads index stream*n_steps + s, whose state is
+    key + GOLDEN*s modulo 2^64; the key is computed once per stream.
+    """
+    with np.errstate(over="ignore"):
+        seed_u = np.uint64(int(seed) % (1 << 64))
+        idx = np.asarray(stream).astype(np.uint64) * np.uint64(n_steps) + np.uint64(1)
+        return seed_u + _GOLDEN * idx
+
+
+def _normals_into(
+    keys: np.ndarray, step: int, bits: np.ndarray, tmp: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """The counter normals of one step, written to out through caller buffers.
+
+    out = ndtri of the 53-bit uniform built from Stafford's mix13
+    finalizer of keys + GOLDEN*step; bits and tmp are uint64 scratch of
+    the same shape.  This is the one definition of the draw.
+    """
+    np.add(keys, np.uint64((_GOLDEN_INT * step) % (1 << 64)), out=bits)
+    for shift, mult in ((30, _MIX_1), (27, _MIX_2)):
+        np.bitwise_xor(bits, np.right_shift(bits, shift, out=tmp), out=bits)
+        np.multiply(bits, mult, out=bits)
+    np.bitwise_xor(bits, np.right_shift(bits, 31, out=tmp), out=bits)
+    np.right_shift(bits, 11, out=bits)
+    np.multiply(bits, 2.0**-53, out=out)
+    np.add(out, 2.0**-54, out=out)
+    return ndtri(out, out=out)
 
 
 def counter_normals(
@@ -80,12 +127,60 @@ def counter_normals(
     Pure function of (seed, stream, step): draw = ndtri of the 53-bit
     uniform built from SplitMix64 evaluated at index stream*n_steps+step.
     """
-    with np.errstate(over="ignore"):
-        seed_u = np.uint64(int(seed) % (1 << 64))
-        idx = stream.astype(np.uint64) * np.uint64(n_steps) + np.uint64(step)
-        raw = _mix64(seed_u + _GOLDEN * (idx + np.uint64(1)))
-    uniform = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    return ndtri(uniform)
+    keys = _counter_keys(seed, stream, n_steps)
+    return _normals_into(
+        keys, step, np.empty_like(keys), np.empty_like(keys), np.empty(keys.shape)
+    )
+
+
+def _euler_chunk(
+    params: CevParams, cfg: McConfig, paths: np.ndarray, sqdt: float, out: np.ndarray
+) -> None:
+    """Euler-step the given paths and write their terminal values to out.
+
+    Every step updates the whole working set; absorbed paths sit at 0,
+    where the update keeps them.  Every _COMPACT_EVERY steps the working
+    set drops its absorbed paths once they make up _COMPACT_SHARE of it.
+    """
+    if cfg.antithetic:
+        keys = _counter_keys(cfg.seed, paths >> np.uint64(1), cfg.n_steps)
+        signs = np.where(paths & np.uint64(1), -1.0, 1.0)
+    else:
+        keys = _counter_keys(cfg.seed, paths, cfg.n_steps)
+        signs = None
+    S = np.full(paths.size, params.s0)
+    slots = None  # output slot of each working path, once compaction dropped some
+    bits, tmp = np.empty_like(keys), np.empty_like(keys)
+    z, incr = np.empty_like(S), np.empty_like(S)
+    for step in range(cfg.n_steps):
+        if step and step % _COMPACT_EVERY == 0:
+            n_live = np.count_nonzero(S)
+            if n_live <= (1.0 - _COMPACT_SHARE) * S.size:
+                live = np.flatnonzero(S)
+                S, keys = S[live], keys[live]
+                if signs is not None:
+                    signs = signs[live]
+                slots = live if slots is None else slots[live]
+                bits, tmp, z, incr = bits[:n_live], tmp[:n_live], z[:n_live], incr[:n_live]
+                if n_live == 0:
+                    break
+        _normals_into(keys, step, bits, tmp, z)
+        if signs is not None:
+            z *= signs
+        # S + sigma * S**rho * sqdt * z, multiplied left to right as
+        # written so every rounding is the formula's; for rho in (0, 1),
+        # 0**rho = 0, so the update leaves 0 at 0
+        np.power(S, params.rho, out=incr)
+        incr *= params.sigma
+        incr *= sqdt
+        incr *= z
+        S += incr
+        np.maximum(S, 0.0, out=S)
+    if slots is None:
+        out[:] = S
+    else:
+        out[:] = 0.0
+        out[slots] = S
 
 
 def simulate_terminals(
@@ -94,39 +189,21 @@ def simulate_terminals(
     """Terminal CEV values under Euler stepping with full absorption.
 
     A path is absorbed the first time its Euler update lands at or below
-    zero and stays at zero afterwards.  chunk_size only controls memory
-    and parallel granularity; the output is bit-identical for any value.
+    zero and stays at zero afterwards.  Each chunk is stepped with
+    hoisted counter keys and in-place draws, a masked update clamped at
+    0 (absorbing for rho in (0, 1)) and periodic compaction of absorbed
+    paths; see the module docstring.  chunk_size only bounds memory:
+    the kernel's buffers are chunk-sized, and the output is
+    bit-identical for any value.
     """
     if chunk_size < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
-    dt = params.T / cfg.n_steps
-    sqdt = math.sqrt(dt)
+    sqdt = math.sqrt(params.T / cfg.n_steps)
     out = np.empty(cfg.n_paths, dtype=np.float64)
     for start in range(0, cfg.n_paths, chunk_size):
         stop = min(start + chunk_size, cfg.n_paths)
         paths = np.arange(start, stop, dtype=np.uint64)
-        if cfg.antithetic:
-            streams = paths >> np.uint64(1)
-            signs = np.where(paths & np.uint64(1), -1.0, 1.0)
-        else:
-            streams = paths
-            signs = None
-        S = np.full(stop - start, params.s0)
-        alive = np.ones(stop - start, dtype=bool)
-        for step in range(cfg.n_steps):
-            idx_alive = np.flatnonzero(alive)
-            if idx_alive.size == 0:
-                break
-            z = counter_normals(cfg.seed, streams[idx_alive], step, cfg.n_steps)
-            if signs is not None:
-                z = z * signs[idx_alive]
-            Sa = S[idx_alive]
-            Sa = Sa + params.sigma * Sa**params.rho * sqdt * z
-            dead = Sa <= 0.0
-            Sa[dead] = 0.0
-            S[idx_alive] = Sa
-            alive[idx_alive[dead]] = False
-        out[start:stop] = S
+        _euler_chunk(params, cfg, paths, sqdt, out[start:stop])
     return out
 
 

@@ -226,9 +226,12 @@ def smile_three_term_atom(market: MarketSlice, K: float, mass: float) -> float:
 
         sqrt(2/T) L^(1/2) + u/sqrt(T) + sqrt(2)/(4 sqrt(T)) u^2 L^(-1/2),
 
-    u = (U_{x0/K})^{-1}(mass), L = log(x0/K).
+    u = (U_{x0/K})^{-1}(mass), L = log(x0/K).  A mass at or below 0
+    raises DomainBelowError, one at or above 1 DomainAboveError.
     """
     L = _wing_depth(market, K)
+    if mass <= 0.0:
+        raise DomainBelowError(f"mass must lie in (0, 1), got {mass}")
     u = u_k_inv(mass, log_k=L)
     return _three_term(market.T, L, u)
 

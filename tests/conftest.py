@@ -5,15 +5,30 @@ T=1.2, rho=0.6, sigma=0.2).  The reference configuration keeps s0, T
 and rho but calibrates sigma so that the mass at zero equals 0.0707,
 the anchor value of the comparison experiments; the printed sigma does
 not reproduce that mass (see the acceptance output for the evidence).
+
+Property tests run under one fixed hypothesis profile: derandomized, so
+every run draws the same examples, and with no deadline, since timings
+on a loaded machine vary.  With no example database and hypothesis's
+own caches moved to the system temp directory, a test run writes no
+.hypothesis/ directory into the checkout.
 """
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.optimize import brentq
 
 from atomvol import CevModel, CevParams
 
 PRINTED_PARAMS = CevParams(s0=0.05, sigma=0.2, rho=0.6, T=1.2)
 ANCHOR_MASS = 0.0707
+
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "atomvol-hypothesis")
+settings.register_profile("atomvol", derandomize=True, deadline=None, database=None)
+settings.load_profile("atomvol")
 
 
 def calibrate_sigma_to_mass(target: float) -> float:

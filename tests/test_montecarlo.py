@@ -2,16 +2,72 @@
 statistics against the analytic law, and put estimates against the
 quadrature oracle."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from atomvol import CevParams, McConfig, mc_put_price, mc_smile, simulate_terminals
 from atomvol.errors import DomainError
 from atomvol.montecarlo import counter_normals
 
 PRINTED = CevParams(s0=0.05, sigma=0.2, rho=0.6, T=1.2)
+# about a third of the paths absorb within 64 steps
+ABSORBING = CevParams(s0=0.05, sigma=0.4, rho=0.6, T=1.2)
+# rho = 1/2, about a third absorbing under antithetic pairs
+SQRT_ABSORBING = CevParams(s0=0.05, sigma=0.3, rho=0.5, T=1.0)
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def _reference_terminals(params: CevParams, cfg: McConfig) -> np.ndarray:
+    """Straight Euler loop over the live paths, one counter_normals call a step."""
+    paths = np.arange(cfg.n_paths, dtype=np.uint64)
+    streams = paths >> np.uint64(1) if cfg.antithetic else paths
+    signs = np.where(paths & np.uint64(1), -1.0, 1.0) if cfg.antithetic else None
+    sqdt = math.sqrt(params.T / cfg.n_steps)
+    S = np.full(cfg.n_paths, params.s0)
+    for step in range(cfg.n_steps):
+        live = np.flatnonzero(S > 0.0)
+        z = counter_normals(cfg.seed, streams[live], step, cfg.n_steps)
+        if signs is not None:
+            z = z * signs[live]
+        Sa = S[live]
+        Sa = Sa + params.sigma * Sa**params.rho * sqdt * z
+        S[live] = np.where(Sa <= 0.0, 0.0, Sa)
+    return S
+
+
+# SHA-256 of simulate_terminals(...).tobytes(), frozen from the earlier
+# Euler loop, which gathered and scattered the live paths every step
+FROZEN_TERMINALS = [
+    ("plain", PRINTED, McConfig(n_paths=5000, n_steps=40, seed=42), None,
+     "84ab8c05b7a35b7b1b6ae11f9995bd4be3d5a1be6afb1bf2f988fe4649b564ca"),
+    ("antithetic", PRINTED, McConfig(n_paths=5000, n_steps=40, seed=42, antithetic=True), None,
+     "ed70ee2c5a0ad88b4f28a8d75bf55d187455d43f1b134daec960a0e8ad4123b2"),
+    ("odd_paths", PRINTED, McConfig(n_paths=2999, n_steps=33, seed=7), None,
+     "dcbf2a81d0d048718a9fc9f39d33ef23cd902c97bede1722c68afb2362d1cead"),
+    ("odd_antithetic", PRINTED, McConfig(n_paths=2999, n_steps=33, seed=7, antithetic=True), None,
+     "77a33c3b40454848513278865dc3fda277afb02bbda414d16b3f80ea59599f13"),
+    ("chunk_1", ABSORBING, McConfig(n_paths=301, n_steps=64, seed=17), 1,
+     "4c7983a52062d0a4966bb8839ef8621da90a685ff8d1c804034d57edebaf998a"),
+    ("chunk_173", ABSORBING, McConfig(n_paths=3001, n_steps=64, seed=17), 173,
+     "fa837ede3557f137161d388d734dea6da19cab0d0e149cf9be1a80b0e1577038"),
+    ("absorbing", ABSORBING, McConfig(n_paths=3001, n_steps=64, seed=17), None,
+     "fa837ede3557f137161d388d734dea6da19cab0d0e149cf9be1a80b0e1577038"),
+    ("two_default_chunks", ABSORBING, McConfig(n_paths=66_537, n_steps=16, seed=5), None,
+     "eb550b292670f9f069469baecd6792512aff9d326d4867873d64b245f9ea35d9"),
+    ("absorbing_antithetic", SQRT_ABSORBING, McConfig(n_paths=2001, n_steps=64, seed=3, antithetic=True), None,
+     "69a4cea4b043d9a46a191903a1ffa2fe0396fd731abf0fea1ae3817f0bbffca4"),
+    ("zero_vol", CevParams(s0=0.05, sigma=0.0, rho=0.6, T=1.2), McConfig(n_paths=999, n_steps=20, seed=3), None,
+     "5a0152a8c64b00b5aa268c96ee68c6bbbbe9126a03efbd218c9f2302f32c9ed8"),
+]
+FROZEN_NORMALS = "a7704b14ea36131315b427f42d9932510bc99d41d8bc3b59f5d09b0e787b80d3"
 
 
 class TestConfig:
@@ -35,12 +91,37 @@ class TestCounterNormals:
         assert not np.array_equal(base, counter_normals(8, streams, 3, 100))
         assert not np.array_equal(base, counter_normals(7, streams, 4, 100))
 
+    def test_frozen_digest(self):
+        z = counter_normals(7, np.arange(1000), 3, 100)
+        assert _sha256(z) == FROZEN_NORMALS
+
     def test_moments_are_standard_normal(self):
         streams = np.arange(200_000, dtype=np.uint64)
         z = counter_normals(123, streams, 0, 1)
         assert abs(z.mean()) < 3.0 / math.sqrt(z.size)
         assert abs(z.std() - 1.0) < 3.0 / math.sqrt(z.size)
         assert abs((z**3).mean()) < 3.0 * math.sqrt(15.0 / z.size)
+
+
+class TestFrozenTerminals:
+    """Bit identity of the Euler kernel, independent of any benchmark."""
+
+    @pytest.mark.parametrize(
+        "params, cfg, chunk_size, digest",
+        [case[1:] for case in FROZEN_TERMINALS],
+        ids=[case[0] for case in FROZEN_TERMINALS],
+    )
+    def test_digest(self, params, cfg, chunk_size, digest):
+        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
+        assert _sha256(simulate_terminals(params, cfg, **kwargs)) == digest
+
+    def test_absorbing_configs_absorb(self):
+        # the absorbing digests are worth having only if about a third of
+        # their paths absorb within 64 steps, so that compaction fires
+        for params, seed, anti in ((ABSORBING, 17, False), (SQRT_ABSORBING, 3, True)):
+            cfg = McConfig(n_paths=3001, n_steps=64, seed=seed, antithetic=anti)
+            frac = np.mean(simulate_terminals(params, cfg) == 0.0)
+            assert 0.25 < frac < 0.4
 
 
 class TestSimulate:
@@ -57,6 +138,26 @@ class TestSimulate:
         tiny = simulate_terminals(PRINTED, cfg, chunk_size=1)
         assert np.array_equal(full, odd)
         assert np.array_equal(full, tiny)
+
+    @given(
+        n_paths=st.integers(1, 48),
+        n_steps=st.integers(1, 24),
+        chunk_frac=st.floats(0.0, 1.0),
+        antithetic=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+        sigma=st.floats(0.0, 1.5),
+        rho=st.floats(0.05, 0.95),
+    )
+    def test_chunk_invariance_property(
+        self, n_paths, n_steps, chunk_frac, antithetic, seed, sigma, rho
+    ):
+        # sigma up to 1.5 at s0 = 0.05 absorbs most paths within a few steps
+        params = CevParams(s0=0.05, sigma=sigma, rho=rho, T=1.0)
+        cfg = McConfig(n_paths=n_paths, n_steps=n_steps, seed=seed, antithetic=antithetic)
+        chunk_size = 1 + int(chunk_frac * (n_paths - 1))
+        whole = simulate_terminals(params, cfg, chunk_size=n_paths)
+        assert whole.tobytes() == simulate_terminals(params, cfg, chunk_size=chunk_size).tobytes()
+        assert whole.tobytes() == _reference_terminals(params, cfg).tobytes()
 
     def test_zero_vol_is_frozen(self):
         params = CevParams(s0=0.05, sigma=0.0, rho=0.6, T=1.2)

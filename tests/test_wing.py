@@ -225,6 +225,18 @@ class TestThreeTerm:
         with pytest.raises(DomainError):
             smile_three_term_atom(market, math.exp(-6.0), math.nan)
 
+    @pytest.mark.parametrize("mass", [0.0, -0.01])
+    def test_nonpositive_mass_raises_below(self, mass):
+        # at k = -6 the left-edge level of U_K is negative, so the
+        # inversion alone would accept these levels (mass 0 used to give
+        # 1.5907422358659007); the mass check refuses them, as
+        # smile_dmhj does through the normal quantile
+        market = MarketSlice(x0=1.0, T=1.2)
+        with pytest.raises(DomainBelowError):
+            smile_three_term_atom(market, math.exp(-6.0), mass)
+        with pytest.raises(DomainBelowError):
+            smile_dmhj(market, math.exp(-6.0), mass)
+
     def test_rejects_shallow_strikes(self):
         market = MarketSlice(x0=1.0, T=1.0)
         with pytest.raises(DomainError):
