@@ -8,20 +8,19 @@ draw is a pure function of those coordinates, so results are bit
 reproducible, independent of chunking, and safe to evaluate in
 parallel in any order.
 
+The uniform is (m + 1/2) * 2^-53 for the top 53 bits m of the mix;
+at m = 2^53 - 1 it rounds to 1, so it is held at the largest double
+below 1 and every draw is finite.
+
 The Euler kernel does no index work and no allocation per step.  The
 SplitMix64 state of stream i at step s is seed + GOLDEN*(i*n_steps + 1
 + s) modulo 2^64, so each path's key seed + GOLDEN*(i*n_steps + 1) is
 computed once and a step adds the scalar GOLDEN*s.  The draws and the
 update run in place through buffers allocated once per chunk.  The
-update is applied to every path of the working set, absorbed or not,
-then clamped at 0: for rho in (0, 1), 0**rho = 0, so a path at 0 gets
-a zero increment and stays at 0.  Every few steps the working set
-drops its absorbed paths, once they are a large enough share of it
-(see _COMPACT_EVERY and _COMPACT_SHARE).  The output is bit-identical
-to stepping only the live paths, with one exception of odds 2^-53 per
-draw: the uniform of the top 53-bit value rounds to 1, its draw is
-infinite, and 0 times infinity turns an absorbed path into NaN where
-the live-path loop leaves it at 0.
+update is applied to every path, absorbed or not, then clamped at 0:
+for rho in (0, 1), 0**rho = 0, and with a finite draw the increment of
+a path at 0 is 0, so it stays at 0.  The output is therefore
+bit-identical to stepping only the live paths.
 """
 
 from __future__ import annotations
@@ -50,11 +49,8 @@ _GOLDEN_INT = 0x9E3779B97F4A7C15
 _GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
-# compaction cadence of the Euler kernel: every _COMPACT_EVERY steps, drop
-# the absorbed paths from the working set if they are at least
-# _COMPACT_SHARE of it
-_COMPACT_EVERY = 8
-_COMPACT_SHARE = 0.125
+# largest double below 1: the uniform's ceiling, so that ndtri stays finite
+_U_MAX = 1.0 - 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -105,8 +101,9 @@ def _normals_into(
     """The counter normals of one step, written to out through caller buffers.
 
     out = ndtri of the 53-bit uniform built from Stafford's mix13
-    finalizer of keys + GOLDEN*step; bits and tmp are uint64 scratch of
-    the same shape.  This is the one definition of the draw.
+    finalizer of keys + GOLDEN*step, held below 1; bits and tmp are
+    uint64 scratch of the same shape.  This is the one definition of
+    the draw.
     """
     np.add(keys, np.uint64((_GOLDEN_INT * step) % (1 << 64)), out=bits)
     for shift, mult in ((30, _MIX_1), (27, _MIX_2)):
@@ -116,6 +113,7 @@ def _normals_into(
     np.right_shift(bits, 11, out=bits)
     np.multiply(bits, 2.0**-53, out=out)
     np.add(out, 2.0**-54, out=out)
+    np.minimum(out, _U_MAX, out=out)
     return ndtri(out, out=out)
 
 
@@ -134,13 +132,12 @@ def counter_normals(
 
 
 def _euler_chunk(
-    params: CevParams, cfg: McConfig, paths: np.ndarray, sqdt: float, out: np.ndarray
+    params: CevParams, cfg: McConfig, paths: np.ndarray, sqdt: float, S: np.ndarray
 ) -> None:
-    """Euler-step the given paths and write their terminal values to out.
+    """Euler-step the given paths in S, which ends holding their terminal values.
 
-    Every step updates the whole working set; absorbed paths sit at 0,
-    where the update keeps them.  Every _COMPACT_EVERY steps the working
-    set drops its absorbed paths once they make up _COMPACT_SHARE of it.
+    Every step updates all the paths; absorbed ones sit at 0, where the
+    update keeps them.
     """
     if cfg.antithetic:
         keys = _counter_keys(cfg.seed, paths >> np.uint64(1), cfg.n_steps)
@@ -148,22 +145,10 @@ def _euler_chunk(
     else:
         keys = _counter_keys(cfg.seed, paths, cfg.n_steps)
         signs = None
-    S = np.full(paths.size, params.s0)
-    slots = None  # output slot of each working path, once compaction dropped some
+    S.fill(params.s0)
     bits, tmp = np.empty_like(keys), np.empty_like(keys)
     z, incr = np.empty_like(S), np.empty_like(S)
     for step in range(cfg.n_steps):
-        if step and step % _COMPACT_EVERY == 0:
-            n_live = np.count_nonzero(S)
-            if n_live <= (1.0 - _COMPACT_SHARE) * S.size:
-                live = np.flatnonzero(S)
-                S, keys = S[live], keys[live]
-                if signs is not None:
-                    signs = signs[live]
-                slots = live if slots is None else slots[live]
-                bits, tmp, z, incr = bits[:n_live], tmp[:n_live], z[:n_live], incr[:n_live]
-                if n_live == 0:
-                    break
         _normals_into(keys, step, bits, tmp, z)
         if signs is not None:
             z *= signs
@@ -176,11 +161,6 @@ def _euler_chunk(
         incr *= z
         S += incr
         np.maximum(S, 0.0, out=S)
-    if slots is None:
-        out[:] = S
-    else:
-        out[:] = 0.0
-        out[slots] = S
 
 
 def simulate_terminals(
@@ -190,11 +170,11 @@ def simulate_terminals(
 
     A path is absorbed the first time its Euler update lands at or below
     zero and stays at zero afterwards.  Each chunk is stepped with
-    hoisted counter keys and in-place draws, a masked update clamped at
-    0 (absorbing for rho in (0, 1)) and periodic compaction of absorbed
-    paths; see the module docstring.  chunk_size only bounds memory:
-    the kernel's buffers are chunk-sized, and the output is
-    bit-identical for any value.
+    hoisted counter keys and in-place draws, and with an update of all
+    its paths clamped at 0, which is absorbing for rho in (0, 1); see
+    the module docstring.  chunk_size only bounds memory: the kernel's
+    buffers are chunk-sized, and the output is bit-identical for any
+    value.
     """
     if chunk_size < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")

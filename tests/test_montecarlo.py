@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from atomvol import CevParams, McConfig, mc_put_price, mc_smile, simulate_terminals
 from atomvol.errors import DomainError
@@ -19,6 +20,13 @@ PRINTED = CevParams(s0=0.05, sigma=0.2, rho=0.6, T=1.2)
 ABSORBING = CevParams(s0=0.05, sigma=0.4, rho=0.6, T=1.2)
 # rho = 1/2, about a third absorbing under antithetic pairs
 SQRT_ABSORBING = CevParams(s0=0.05, sigma=0.3, rho=0.5, T=1.0)
+
+
+# under this seed the SplitMix64 state of stream 0 at step 1 mixes to
+# 2^64 - 1, the top value, whose uniform rounds to 1 unless held below it
+TOP_DRAW_SEED = 10604588701194827158
+# the frozen configs where about a third of the paths absorb
+ABSORBING_CASES = ("chunk_1", "chunk_173", "absorbing", "two_default_chunks", "absorbing_antithetic")
 
 
 def _sha256(a: np.ndarray) -> str:
@@ -95,6 +103,10 @@ class TestCounterNormals:
         z = counter_normals(7, np.arange(1000), 3, 100)
         assert _sha256(z) == FROZEN_NORMALS
 
+    def test_top_value_draw_is_finite(self):
+        z = counter_normals(TOP_DRAW_SEED, np.arange(1), 1, 2)
+        assert z[0] == ndtri(1.0 - 2.0**-53)
+
     def test_moments_are_standard_normal(self):
         streams = np.arange(200_000, dtype=np.uint64)
         z = counter_normals(123, streams, 0, 1)
@@ -116,10 +128,11 @@ class TestFrozenTerminals:
         assert _sha256(simulate_terminals(params, cfg, **kwargs)) == digest
 
     def test_absorbing_configs_absorb(self):
-        # the absorbing digests are worth having only if about a third of
-        # their paths absorb within 64 steps, so that compaction fires
-        for params, seed, anti in ((ABSORBING, 17, False), (SQRT_ABSORBING, 3, True)):
-            cfg = McConfig(n_paths=3001, n_steps=64, seed=seed, antithetic=anti)
+        # the absorbing digests check that the kernel keeps absorbed paths
+        # at 0 only if a good share of their paths absorb
+        cases = [case for case in FROZEN_TERMINALS if case[0] in ABSORBING_CASES]
+        assert len(cases) == len(ABSORBING_CASES)
+        for _, params, cfg, _, _ in cases:
             frac = np.mean(simulate_terminals(params, cfg) == 0.0)
             assert 0.25 < frac < 0.4
 
@@ -158,6 +171,15 @@ class TestSimulate:
         whole = simulate_terminals(params, cfg, chunk_size=n_paths)
         assert whole.tobytes() == simulate_terminals(params, cfg, chunk_size=chunk_size).tobytes()
         assert whole.tobytes() == _reference_terminals(params, cfg).tobytes()
+
+    def test_top_value_draw_keeps_paths_finite(self):
+        # the antithetic pair's path 1 absorbs at step 0; at step 1 path 0
+        # draws the top value and path 1 its negative
+        params = CevParams(s0=0.05, sigma=0.3, rho=0.5, T=1.0)
+        cfg = McConfig(n_paths=2, n_steps=2, seed=TOP_DRAW_SEED, antithetic=True)
+        out = simulate_terminals(params, cfg)
+        assert out[1] == 0.0 and np.isfinite(out[0])
+        assert out.tobytes() == _reference_terminals(params, cfg).tobytes()
 
     def test_zero_vol_is_frozen(self):
         params = CevParams(s0=0.05, sigma=0.0, rho=0.6, T=1.2)
