@@ -18,7 +18,7 @@ for mass in (0.1, 0.3, 0.5, 0.7, 0.9):
     row = []
     for power in (1, 2, 3, 4):
         try:
-            row.append(f"{estims_ratio(mass, depth=10.0 ** power):12.5f}")
+            row.append(f"{estims_ratio(mass, 10.0 ** power):12.5f}")
         except Exception:
             row.append(f"{'undefined':>12}")
     print(f"{mass:6.1f} " + " ".join(row))
@@ -28,8 +28,8 @@ depth = 4.0
 threshold = 0.5 - 1.0 / (2.0 * math.sqrt(math.pi) * math.sqrt(depth))
 print(f"  zero crossing at mass = {threshold:.6f}")
 for mass in (0.05, 0.25, threshold, threshold + 0.01, 0.45):
-    label = sign_classify(mass, depth=depth)
-    u = u_k_inv(mass, log_k=depth)
+    label = sign_classify(mass, depth)
+    u = u_k_inv(mass, depth)
     a = norm_cdf_inv(mass)
     note = "  <- opposite signs" if u > 1e-9 > 0.0 > a else ""
     print(f"  mass={mass:.6f}: classified {label:>8}, "

@@ -29,8 +29,6 @@ from atomvol.montecarlo import (
     simulate_terminals,
 )
 from atomvol.specfun import (
-    bessel_i,
-    bessel_i_scaled,
     norm_cdf,
     norm_cdf_inv,
     reg_inc_gamma,
@@ -76,8 +74,6 @@ __all__ = [
     "mc_put_price",
     "mc_smile",
     "simulate_terminals",
-    "bessel_i",
-    "bessel_i_scaled",
     "norm_cdf",
     "norm_cdf_inv",
     "reg_inc_gamma",

@@ -64,10 +64,10 @@ class OptionQuote:
 
 def d1_d2(market: MarketSlice, strike: float, sigma: float) -> tuple[float, float]:
     """The d1, d2 arguments of the Black-Scholes formula; d1 - d2 = sigma*sqrt(T)."""
-    if strike <= 0.0:
-        raise DomainError(f"strike must be positive, got {strike}")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < strike < math.inf:  # also refuses nan
+        raise DomainError(f"strike must be positive and finite, got {strike}")
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
     st = sigma * math.sqrt(market.T)
     d1 = (math.log(market.x0 / strike) + 0.5 * st * st) / st
     return d1, d1 - st

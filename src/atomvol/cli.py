@@ -117,8 +117,6 @@ def _load_settings(config_path: Optional[str], overrides: dict[str, str]) -> dic
 
 def _get_float(settings: dict, key: str, default=None) -> Optional[float]:
     if key not in settings:
-        if default is None:
-            return None
         return default
     try:
         return float(settings[key])

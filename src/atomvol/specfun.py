@@ -1,12 +1,9 @@
 """Special functions used by the pricing and asymptotics layers.
 
 Thin, guarded wrappers around the mature scipy.special implementations:
-standard normal CDF and its inverse, the regularized lower and upper
-incomplete gamma functions, and the modified Bessel function of the
-first kind in exponentially scaled form.  The wing formulas subtract nearly equal
-quantities, so everything here is kept at full double accuracy and the
-Bessel function is always exposed through its scaled product to avoid
-overflow at large argument.
+standard normal CDF and its inverse, and the regularized lower and upper
+incomplete gamma functions.  The wing formulas subtract nearly equal
+quantities, so everything here is kept at full double accuracy.
 """
 
 from __future__ import annotations
@@ -23,9 +20,6 @@ __all__ = [
     "log_norm_cdf",
     "reg_inc_gamma",
     "reg_inc_gamma_upper",
-    "bessel_i_scaled",
-    "bessel_i",
-    "log_bessel_i",
 ]
 
 
@@ -88,50 +82,3 @@ def reg_inc_gamma_upper(a: float, y: float) -> float:
     """
     a, y = _check_gamma_args("reg_inc_gamma_upper", a, y)
     return float(_sp.gammaincc(a, y))
-
-
-def _check_bessel_order(order: float) -> float:
-    order = float(order)
-    if order < 0.0 and order == math.floor(order):
-        raise DomainError(
-            f"bessel order must not be a negative integer, got {order}"
-        )
-    return order
-
-
-def bessel_i_scaled(order: float, argument: float) -> float:
-    """Exponentially scaled modified Bessel function e^(-x) * I_order(x).
-
-    The scaled product stays bounded as x grows, which is what the CEV
-    density needs; the unscaled value is recoverable via bessel_i when
-    it does not overflow.
-    """
-    order = _check_bessel_order(order)
-    argument = float(argument)
-    if argument < 0.0:
-        raise DomainError(f"bessel argument must be >= 0, got {argument}")
-    if argument == 0.0:
-        # ive(0, 0) = 1; positive orders vanish, negative fractional blow up
-        if order == 0.0:
-            return 1.0
-        if order > 0.0:
-            return 0.0
-        return math.inf
-    return float(_sp.ive(order, argument))
-
-
-def bessel_i(order: float, argument: float) -> float:
-    """Unscaled modified Bessel function I_order(x); may overflow for large x."""
-    return bessel_i_scaled(order, argument) * math.exp(float(argument))
-
-
-def log_bessel_i(order: float, argument: float) -> float:
-    """log I_order(x) for x > 0, computed from the scaled form."""
-    order = _check_bessel_order(order)
-    argument = float(argument)
-    if argument <= 0.0:
-        raise DomainError(f"log_bessel_i requires argument > 0, got {argument}")
-    scaled = _sp.ive(order, argument)
-    if scaled <= 0.0:
-        return -math.inf
-    return math.log(scaled) + argument

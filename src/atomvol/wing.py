@@ -1,9 +1,10 @@
 """Small-strike implied-volatility asymptotics for models with an atom at zero.
 
-The machinery lives in the depth variable L = log(x0/K) > 0.  Everything
-is built around the strike-dependent perturbation of the normal CDF
+The machinery lives in the depth variable L = log(x0/K) > 0, and every
+function below the smile_* layer takes L, never K.  Everything is built
+around the strike-dependent perturbation of the normal CDF
 
-    U_K(x) = N(x) - exp(-x^2/2) / (2 sqrt(pi) sqrt(log K)),   K > 1,
+    U_K(x) = N(x) - exp(-x^2/2) / (2 sqrt(pi) sqrt(L)),   L = log K > 0,
 
 whose inverse replaces the plain normal quantile in the sharper
 three-term expansions, in the two-sided bounds, and in the diagnostic
@@ -54,30 +55,25 @@ _INV_TOL_X = 1e-13
 _INV_MAX_ITER = 200
 
 
-def _depth(K: Optional[float], log_k: Optional[float]) -> float:
-    """Resolve the (K, log_k) calling convention into log K > 0."""
-    if (K is None) == (log_k is None):
-        raise DomainError("pass exactly one of K or log_k")
-    if log_k is None:
-        K = float(K)
-        if not (K > 1.0 and math.isfinite(K)):
-            raise DomainError(f"requires K > 1, got {K}")
-        return math.log(K)
-    log_k = float(log_k)
-    if not (log_k > 0.0 and math.isfinite(log_k)):
-        raise DomainError(f"requires log K > 0, got {log_k}")
-    return log_k
+def _depth(L: float) -> float:
+    """The depth L = log K (for U_K) or log(x0/K) (for a strike), checked
+    finite and > 0; nan is refused as well."""
+    L = float(L)
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"depth must be finite and > 0, got {L}")
+    return L
 
 
-def u_k(x: float, K: Optional[float] = None, *, log_k: Optional[float] = None) -> float:
-    """U_K(x) = N(x) - exp(-x^2/2)/(2 sqrt(pi) sqrt(log K)) for K > 1.
+def u_k(x: float, L: float) -> float:
+    """U_K(x) = N(x) - exp(-x^2/2)/(2 sqrt(pi) sqrt(L)) at depth L = log K > 0.
 
-    Strictly increasing on [-sqrt(2 log K), inf); accepts the depth as
-    either the index K itself or log_k for indices too large to
-    represent in floating point.
+    Strictly increasing on [-sqrt(2L), inf).  Taking the depth rather
+    than K keeps indices far beyond the floating-point range usable.
     """
-    L = _depth(K, log_k)
+    L = _depth(L)
     x = float(x)
+    if math.isnan(x):
+        raise DomainError("u_k requires a point, got nan")
     return norm_cdf(x) - math.exp(-0.5 * x * x) / (2.0 * _SQRT_PI * math.sqrt(L))
 
 
@@ -88,16 +84,16 @@ def _u_k_left_edge(L: float) -> tuple[float, float]:
     return edge, value
 
 
-def u_k_inv(y: float, K: Optional[float] = None, *, log_k: Optional[float] = None) -> float:
-    """Inverse of U_K on its increasing branch [-sqrt(2 log K), inf).
+def u_k_inv(y: float, L: float) -> float:
+    """Inverse of U_K at depth L on its increasing branch [-sqrt(2L), inf).
 
     Bisection against u_k: monotone, derivative-free, robust next to the
     left endpoint where the derivative of U_K vanishes.  Raises
-    DomainBelowError for y below U_K(-sqrt(2 log K)) (the strike is not
-    deep enough for that level), DomainAboveError for y >= 1 and
-    DomainError for nan.
+    DomainBelowError for y below U_K(-sqrt(2L)) (the strike is not deep
+    enough for that level), DomainAboveError for y >= 1 and DomainError
+    for nan.
     """
-    L = _depth(K, log_k)
+    L = _depth(L)
     y = float(y)
     if math.isnan(y):
         raise DomainError("u_k_inv requires a level, got nan")
@@ -107,21 +103,22 @@ def u_k_inv(y: float, K: Optional[float] = None, *, log_k: Optional[float] = Non
     if y < lo_val:
         raise DomainBelowError(
             f"u_k_inv: y={y} below U_K at the left endpoint ({lo_val:.6g}) "
-            f"for log K={L:.6g}"
+            f"for L={L:.6g}"
         )
     if y == lo_val:
         return lo
 
     # U_K < N pointwise, so the root sits above N^{-1}(y); seed a bracket
-    # from the normal quantile and expand until it straddles.
+    # from the normal quantile, never left of the branch, and expand
+    # until it straddles.
     seed = min(max(y + 0.1, 0.05), 1.0 - 1e-16)
-    hi = norm_cdf_inv(seed) + 1.0
-    while u_k(hi, log_k=L) < y:
+    hi = max(norm_cdf_inv(seed) + 1.0, lo)
+    while u_k(hi, L) < y:
         hi += 1.0
 
     for _ in range(_INV_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if u_k(mid, log_k=L) < y:
+        if u_k(mid, L) < y:
             lo = mid
         else:
             hi = mid
@@ -232,21 +229,21 @@ def smile_three_term_atom(market: MarketSlice, K: float, mass: float) -> float:
     L = _wing_depth(market, K)
     if mass <= 0.0:
         raise DomainBelowError(f"mass must lie in (0, 1), got {mass}")
-    u = u_k_inv(mass, log_k=L)
+    u = u_k_inv(mass, L)
     return _three_term(market.T, L, u)
 
 
 def smile_three_term_pT(market: MarketSlice, K: float, model: AtomModel) -> float:
     """Three-term expansion with the full CDF p_T(K/x0) as the level."""
     L = _wing_depth(market, K)
-    u = u_k_inv(model.p_total(K / market.x0), log_k=L)
+    u = u_k_inv(model.p_total(K / market.x0), L)
     return _three_term(market.T, L, u)
 
 
 def smile_three_term_G(market: MarketSlice, K: float, model: AtomModel) -> float:
     """Three-term expansion with G(x0/K) as the level (the sharpest variant)."""
     L = _wing_depth(market, K)
-    u = u_k_inv(model.g_value(market.x0 / K), log_k=L)
+    u = u_k_inv(model.g_value(market.x0 / K), L)
     return _three_term(market.T, L, u)
 
 
@@ -271,7 +268,7 @@ def smile_sqrt_form(market: MarketSlice, K: float, model: AtomModel) -> float:
     strikes where the lower bound raises DomainBelowError.
     """
     L = _wing_depth(market, K)
-    u1 = u_k_inv(model.g_value(market.x0 / K), log_k=L)
+    u1 = u_k_inv(model.g_value(market.x0 / K), L)
     return _sqrt_form(market.T, L, u1)
 
 
@@ -298,8 +295,8 @@ def smile_bounds(
     g = model.g_value(market.x0 / K)
     a = norm_cdf_inv(model.mass)
     deflation = (3.0 * a * a + 2.0 + cfg.epsilon) / (8.0 * _SQRT_PI * L**1.5)
-    u1 = u_k_inv(g, log_k=L)
-    u2 = u_k_inv(g - deflation, log_k=L)
+    u1 = u_k_inv(g, L)
+    u2 = u_k_inv(g - deflation, L)
     return _sqrt_form(market.T, L, u2), _sqrt_form(market.T, L, u1)
 
 
@@ -321,63 +318,43 @@ def smile_dmhj(market: MarketSlice, K: float, mass: float) -> float:
     )
 
 
-def _strike_depth(K: Optional[float], depth: Optional[float]) -> float:
-    """Resolve the (K, depth) calling convention into depth = log(1/K) > 0."""
-    if (K is None) == (depth is None):
-        raise DomainError("pass exactly one of K or depth")
-    if depth is None:
-        K = float(K)
-        if not (0.0 < K < 1.0):
-            raise DomainError(f"requires 0 < K < 1, got {K}")
-        depth = -math.log(K)
-    depth = float(depth)
-    if not depth > 0.0:  # also refuses nan
-        raise DomainError(f"depth must be positive, got {depth}")
-    return depth
+def estims_ratio(mass: float, L: float) -> float:
+    """sqrt(2L) * [(U_{1/K})^{-1}(mass) - N^{-1}(mass)] at depth L = log(1/K);
+    tends to 1 as L -> infinity (the strike K -> 0).
 
-
-def estims_ratio(
-    mass: float, K: Optional[float] = None, *, depth: Optional[float] = None
-) -> float:
-    """sqrt(2 log(1/K)) * [(U_{1/K})^{-1}(mass) - N^{-1}(mass)]; tends to 1
-    as the strike K -> 0.
-
-    depth = log(1/K) may be passed instead of K for depths where K
-    underflows.  Requires N(-sqrt(2 log(1/K))) < mass when mass < 1/2
-    (the sufficient existence condition); below it DomainBelowError.
+    Requires N(-sqrt(2L)) < mass when mass < 1/2 (the sufficient
+    existence condition); below it DomainBelowError.
     """
     if not (0.0 < mass < 1.0):
         raise DomainError(f"mass must lie in (0, 1), got {mass}")
-    depth = _strike_depth(K, depth)
-    if mass < 0.5 and norm_cdf(-math.sqrt(2.0 * depth)) >= mass:
+    L = _depth(L)
+    if mass < 0.5 and norm_cdf(-math.sqrt(2.0 * L)) >= mass:
         raise DomainBelowError(
-            f"existence condition fails: N(-sqrt(2*{depth:.6g})) >= {mass}"
+            f"existence condition fails: N(-sqrt(2*{L:.6g})) >= {mass}"
         )
-    u = u_k_inv(mass, log_k=depth)
-    return _SQRT2 * math.sqrt(depth) * (u - norm_cdf_inv(mass))
+    u = u_k_inv(mass, L)
+    return _SQRT2 * math.sqrt(L) * (u - norm_cdf_inv(mass))
 
 
-def sign_classify(
-    mass: float, K: Optional[float] = None, *, depth: Optional[float] = None
-) -> str:
-    """Sign trichotomy of (U_{1/K})^{-1}(mass) for mass < 1/2.
+def sign_classify(mass: float, L: float) -> str:
+    """Sign trichotomy of (U_{1/K})^{-1}(mass) for mass < 1/2, L = log(1/K).
 
     Returns 'positive', 'zero' or 'negative' according to the position
-    of mass relative to 1/2 - 1/(2 sqrt(pi) sqrt(log(1/K))).  In the
-    positive case the perturbed quantile and the plain normal quantile
-    have opposite signs.
+    of mass relative to 1/2 - 1/(2 sqrt(pi) sqrt(L)).  In the positive
+    case the perturbed quantile and the plain normal quantile have
+    opposite signs.
     """
-    depth = _strike_depth(K, depth)
+    L = _depth(L)
     if not (0.0 < mass < 0.5):
         raise DomainError(
             f"trichotomy is stated for 0 < mass < 1/2, got {mass}"
         )
-    _, lo_val = _u_k_left_edge(depth)
+    _, lo_val = _u_k_left_edge(L)
     if mass <= lo_val:
         raise DomainBelowError(
             f"mass {mass} at or below U at the left endpoint ({lo_val:.6g})"
         )
-    threshold = 0.5 - 1.0 / (2.0 * _SQRT_PI * math.sqrt(depth))
+    threshold = 0.5 - 1.0 / (2.0 * _SQRT_PI * math.sqrt(L))
     if mass > threshold:
         return "positive"
     if mass == threshold:
@@ -385,19 +362,22 @@ def sign_classify(
     return "negative"
 
 
-def dmhj_psi_envelope(T: float, mass: float, log_k: float, psi_value: float) -> float:
-    """Envelope Psi of the DMHJ residual at index u = e^(log_k):
+def dmhj_psi_envelope(T: float, mass: float, L: float, psi_value: float) -> float:
+    """Envelope Psi of the DMHJ residual at index u = e^L:
 
-        Psi = sqrt(2)/(2 sqrt(T)) (log u)^(-1/2)
+        Psi = sqrt(2)/(2 sqrt(T)) L^(-1/2)
               + sqrt(2 pi)/sqrt(T) exp(N^{-1}(mass)^2 / 2) psi(u),
 
     where psi(u) = G(u) - mass.  Reporting-only: its limsup statement is
     not assertable at finite depth.
     """
-    if T <= 0.0 or log_k <= 0.0:
-        raise DomainError("requires T > 0 and log_k > 0")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"requires finite T > 0, got {T}")
+    L = _depth(L)
+    if math.isnan(psi_value):
+        raise DomainError("dmhj_psi_envelope requires psi, got nan")
     a = norm_cdf_inv(mass)
     sqT = math.sqrt(T)
-    return _SQRT2 / (2.0 * sqT) / math.sqrt(log_k) + math.sqrt(
+    return _SQRT2 / (2.0 * sqT) / math.sqrt(L) + math.sqrt(
         2.0 * math.pi
     ) / sqT * math.exp(0.5 * a * a) * psi_value

@@ -159,8 +159,8 @@ def test_criterion_04_u_k_inverse():
         threshold = 0.5 - 1.0 / (2.0 * SQRT_PI * math.sqrt(L))
         if abs(y - threshold) < 1e-9:
             continue
-        x = u_k_inv(y, log_k=L)
-        worst = max(worst, abs(u_k(x, log_k=L) - y))
+        x = u_k_inv(y, L)
+        worst = max(worst, abs(u_k(x, L) - y))
         if (x > 0.0) != (y > threshold):
             sign_ok = False
         count += 1
@@ -250,8 +250,8 @@ def test_criterion_07_estims_ratio():
     ok = True
     rows = []
     for mass in (0.1, 0.3, 0.5, 0.7, 0.9):
-        deep = abs(estims_ratio(mass, depth=1e4) - 1.0)
-        shallow = abs(estims_ratio(mass, depth=1e2) - 1.0)
+        deep = abs(estims_ratio(mass, 1e4) - 1.0)
+        shallow = abs(estims_ratio(mass, 1e2) - 1.0)
         rows.append(f"m={mass}: |r-1|@1e4={deep:.4f} @1e2={shallow:.4f}")
         ok &= deep <= 0.02 and deep < shallow
     report(7, "quantile-difference limit", ok, "; ".join(rows))

@@ -57,6 +57,15 @@ class TestD1D2:
         with pytest.raises(DomainError):
             d1_d2(MarketSlice(1.0, 1.0), -1.0, 0.2)
 
+    @pytest.mark.parametrize("fn", [d1_d2, bs_price, vega])
+    @pytest.mark.parametrize(
+        "strike, sigma",
+        [(math.nan, 0.2), (math.inf, 0.2), (0.5, math.nan), (0.5, math.inf)],
+    )
+    def test_non_finite_input_raises(self, fn, strike, sigma):
+        with pytest.raises(DomainError):
+            fn(MarketSlice(1.0, 1.0), strike, sigma)
+
 
 class TestBsPrice:
     def test_small_sigma_limit(self):

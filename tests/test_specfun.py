@@ -1,7 +1,6 @@
 """Special-function contracts, checked against independent oracles:
-quadrature for the normal CDF and incomplete gamma, power series for
-the Bessel function.  Frozen expected values were produced with the
-same oracles at high precision."""
+quadrature for the normal CDF and incomplete gamma.  Frozen expected
+values were produced with the same oracles at high precision."""
 
 import math
 
@@ -10,15 +9,12 @@ import pytest
 from scipy.integrate import quad
 
 from atomvol import (
-    bessel_i,
-    bessel_i_scaled,
     norm_cdf,
     norm_cdf_inv,
     reg_inc_gamma,
     reg_inc_gamma_upper,
 )
 from atomvol.errors import DomainAboveError, DomainBelowError, DomainError
-from atomvol.specfun import log_bessel_i
 
 
 def quadrature_norm_cdf(x: float) -> float:
@@ -45,16 +41,6 @@ def quadrature_reg_inc_gamma(a: float, y: float) -> float:
         limit=200,
     )
     return value / math.gamma(a)
-
-
-def series_bessel_i(alpha: float, x: float, terms: int = 40) -> float:
-    """Independent I_alpha(x): power series summation."""
-    total = 0.0
-    for k in range(terms):
-        total += (x / 2.0) ** (2 * k + alpha) / (
-            math.factorial(k) * math.gamma(k + alpha + 1.0)
-        )
-    return total
 
 
 class TestNormCdf:
@@ -170,49 +156,3 @@ class TestRegIncGammaUpper:
         with pytest.raises(DomainError):
             reg_inc_gamma_upper(1.0, -0.1)
 
-
-class TestBessel:
-    def test_zero_argument(self):
-        assert bessel_i_scaled(0.0, 0.0) == 1.0
-        assert bessel_i_scaled(1.5, 0.0) == 0.0
-
-    def test_series_oracle_negative_order(self):
-        # frozen from the 40-term series: e^{-3} I_{-1.25}(3) = 0.17513557055056285434
-        assert bessel_i_scaled(-1.25, 3.0) == pytest.approx(
-            0.17513557055056285, rel=1e-13
-        )
-        assert bessel_i(-1.25, 3.0) == pytest.approx(
-            series_bessel_i(-1.25, 3.0), rel=1e-12
-        )
-
-    def test_series_oracle_positive_order(self):
-        # frozen: e^{-7} I_{1.25}(7) = 0.136253403273375836
-        assert bessel_i_scaled(1.25, 7.0) == pytest.approx(
-            0.13625340327337584, rel=1e-13
-        )
-        assert bessel_i(1.25, 7.0) == pytest.approx(
-            series_bessel_i(1.25, 7.0), rel=1e-12
-        )
-
-    @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.5, 1.25])
-    def test_small_argument_asymptote(self, alpha):
-        x = 1e-6
-        ratio = bessel_i(alpha, x) * math.gamma(alpha + 1.0) * (2.0 / x) ** alpha
-        assert abs(ratio - 1.0) <= 1e-6
-
-    def test_large_argument_scaled_is_finite(self):
-        value = bessel_i_scaled(1.25, 5000.0)
-        assert 0.0 < value < 1.0
-        # asymptotically e^{-x} I(x) ~ 1/sqrt(2 pi x)
-        assert value == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * 5000.0), rel=1e-3)
-
-    def test_log_form_matches(self):
-        assert log_bessel_i(1.25, 7.0) == pytest.approx(
-            math.log(series_bessel_i(1.25, 7.0)), rel=1e-12
-        )
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            bessel_i_scaled(-2.0, 1.0)
-        with pytest.raises(DomainError):
-            bessel_i_scaled(0.5, -1.0)

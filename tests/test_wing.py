@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from atomvol import (
     AtomModel,
@@ -27,7 +29,7 @@ from atomvol import (
     u_k_inv,
 )
 from atomvol.errors import DomainAboveError, DomainBelowError, DomainError
-from atomvol.wing import dmhj_psi_envelope
+from atomvol.wing import _u_k_left_edge, dmhj_psi_envelope
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -36,15 +38,15 @@ class TestUK:
     def test_direct_value_log4(self):
         # U_{e^4}(0) = 1/2 - 1/(4 sqrt(pi)) = 0.35895260411306092826
         expected = 0.5 - 1.0 / (4.0 * SQRT_PI)
-        assert u_k(0.0, math.exp(4.0)) == pytest.approx(expected, rel=1e-15)
-        assert u_k(0.0, math.exp(4.0)) == pytest.approx(0.35895260411306093, rel=1e-14)
+        assert u_k(0.0, 4.0) == pytest.approx(expected, rel=1e-15)
+        assert u_k(0.0, 4.0) == pytest.approx(0.35895260411306093, rel=1e-14)
 
     def test_below_normal_cdf(self):
         for x in np.linspace(-5.0, 5.0, 41):
-            assert u_k(x, 50.0) < norm_cdf(x)
+            assert u_k(x, math.log(50.0)) < norm_cdf(x)
 
     def test_deep_index_limit(self):
-        assert abs(u_k(0.0, log_k=1e6) - 0.5) < 1e-3
+        assert abs(u_k(0.0, 1e6) - 0.5) < 1e-3
 
     def test_strictly_increasing_on_branch(self):
         # sample below x = 6, where the CDF has not yet saturated in floats
@@ -55,35 +57,34 @@ class TestUK:
             x1, x2 = sorted(rng.uniform(edge, min(edge + 12.0, 6.0), size=2))
             if x1 == x2:
                 continue
-            assert u_k(x1, log_k=L) < u_k(x2, log_k=L)
+            assert u_k(x1, L) < u_k(x2, L)
 
     def test_domain(self):
+        for L in (math.log(0.9), 0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                u_k(0.0, L)
         with pytest.raises(DomainError):
-            u_k(0.0, 0.9)
-        with pytest.raises(DomainError):
-            u_k(0.0)  # neither K nor log_k
-        with pytest.raises(DomainError):
-            u_k(0.0, 2.0, log_k=1.0)  # both
+            u_k(math.nan, 4.0)
 
 
 class TestUKInv:
     @pytest.mark.parametrize("log_K", [2.0, 4.0, 8.0, 16.0])
     def test_round_trip(self, log_K):
         for y in np.linspace(0.01, 0.99, 25):
-            x = u_k_inv(y, log_k=log_K)
-            assert u_k(x, log_k=log_K) == pytest.approx(y, abs=1e-12)
+            x = u_k_inv(y, log_K)
+            assert u_k(x, log_K) == pytest.approx(y, abs=1e-12)
             assert x >= -math.sqrt(2.0 * log_K)
 
     def test_threshold_maps_to_zero(self):
         for log_K in [2.0, 5.0, 11.0]:
             y = 0.5 - 1.0 / (2.0 * SQRT_PI * math.sqrt(log_K))
-            assert abs(u_k_inv(y, log_k=log_K)) < 1e-9
+            assert abs(u_k_inv(y, log_K)) < 1e-9
 
     def test_frozen_root(self):
         # bisection oracle: (U_{e^8})^{-1}(0.0707) = -1.1699796203522415946
-        root = u_k_inv(0.0707, math.exp(8.0))
+        root = u_k_inv(0.0707, 8.0)
         assert root == pytest.approx(-1.1699796203522416, abs=1e-11)
-        assert u_k(root, log_k=8.0) == pytest.approx(0.0707, abs=1e-13)
+        assert u_k(root, 8.0) == pytest.approx(0.0707, abs=1e-13)
 
     def test_sign_law_sampled(self):
         rng = np.random.default_rng(7)
@@ -94,22 +95,55 @@ class TestUKInv:
             threshold = 0.5 - 1.0 / (2.0 * SQRT_PI * math.sqrt(L))
             if abs(y - threshold) < 1e-6:
                 continue
-            x = u_k_inv(y, log_k=L)
+            x = u_k_inv(y, L)
             assert (x > 0.0) == (y > threshold), (y, L, x)
             checked += 1
 
     def test_above_normal_quantile(self):
         # U_K < N pointwise, so the inverse exceeds the normal quantile
         for y in [0.05, 0.4, 0.8]:
-            assert u_k_inv(y, log_k=6.0) > norm_cdf_inv(y)
+            assert u_k_inv(y, 6.0) > norm_cdf_inv(y)
 
     def test_domain_errors(self):
         with pytest.raises(DomainAboveError):
-            u_k_inv(1.0, log_k=4.0)
+            u_k_inv(1.0, 4.0)
         with pytest.raises(DomainBelowError):
-            u_k_inv(-0.5, log_k=4.0)
+            u_k_inv(-0.5, 4.0)
         with pytest.raises(DomainError):
-            u_k_inv(math.nan, log_k=4.0)
+            u_k_inv(math.nan, 4.0)
+        for L in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                u_k_inv(0.3, L)
+
+    @given(
+        L=st.floats(1e-3, 1e4),
+        a=st.one_of(st.integers(0, 8), st.floats(0.0, 1.0)),
+        b=st.one_of(st.integers(0, 8), st.floats(0.0, 1.0)),
+    )
+    # below L of about 0.21 the seed N^{-1}(y+0.1)+1 lies left of the
+    # edge -sqrt(2L); at L=0.1 the level one ulp above U_K(edge) must
+    # still come back on the branch
+    @example(L=0.1, a=1, b=2)
+    def test_inverse_property(self, L, a, b):
+        # a level is either a few ulps above U_K(edge) (an integer draw)
+        # or a fraction of the way from U_K(edge) up to 1 (a float draw)
+        edge, edge_value = _u_k_left_edge(L)
+
+        def level(draw):
+            if isinstance(draw, int):
+                y = edge_value
+                for _ in range(draw):
+                    y = math.nextafter(y, 1.0)
+                return y
+            return min(edge_value + draw * (1.0 - edge_value), math.nextafter(1.0, 0.0))
+
+        y1, y2 = sorted((level(a), level(b)))
+        x1, x2 = u_k_inv(y1, L), u_k_inv(y2, L)
+        for x, y in ((x1, y1), (x2, y2)):
+            assert x >= edge
+            assert abs(u_k(x, L) - y) <= 1e-12
+        # monotone up to the bisection width
+        assert x1 <= x2 + 1e-13
 
 
 class TestGFromPut:
@@ -328,34 +362,34 @@ class TestBounds:
 class TestEstimsRatio:
     @pytest.mark.parametrize("mass", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_limit_and_monotone_approach(self, mass):
-        values = [abs(estims_ratio(mass, depth=d) - 1.0) for d in (1e2, 1e3, 1e4)]
+        values = [abs(estims_ratio(mass, d) - 1.0) for d in (1e2, 1e3, 1e4)]
         assert values[2] <= 0.02
         assert values[2] < values[0]
 
     def test_existence_guard(self):
         # N(-1) = 0.1587 > 0.1, so depth 0.5 violates the condition
         with pytest.raises(DomainBelowError):
-            estims_ratio(0.1, depth=0.5)
+            estims_ratio(0.1, 0.5)
 
-    def test_strike_form_matches_depth_form(self):
-        assert estims_ratio(0.3, K=math.exp(-9.0)) == pytest.approx(
-            estims_ratio(0.3, depth=9.0), rel=1e-12
-        )
+    def test_domain(self):
+        for L in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                estims_ratio(0.3, L)
 
 
 class TestSignClassify:
     def test_threshold_cases(self):
         depth = 6.0
         threshold = 0.5 - 1.0 / (2.0 * SQRT_PI * math.sqrt(depth))
-        assert sign_classify(threshold, depth=depth) == "zero"
-        assert sign_classify(threshold + 1e-6, depth=depth) == "positive"
-        assert sign_classify(1e-6, depth=depth) == "negative"
+        assert sign_classify(threshold, depth) == "zero"
+        assert sign_classify(threshold + 1e-6, depth) == "positive"
+        assert sign_classify(1e-6, depth) == "negative"
 
     def test_opposite_signs_regime(self):
         depth = 4.0
         threshold = 0.5 - 1.0 / (2.0 * SQRT_PI * math.sqrt(depth))
         mass = threshold + 1e-4
-        assert sign_classify(mass, depth=depth) == "positive"
+        assert sign_classify(mass, depth) == "positive"
         assert norm_cdf_inv(mass) < 0.0  # plain quantile disagrees in sign
 
     def test_agrees_with_inverse(self):
@@ -366,32 +400,42 @@ class TestSignClassify:
             threshold = 0.5 - 1.0 / (2.0 * SQRT_PI * math.sqrt(depth))
             if abs(mass - threshold) < 1e-6:
                 continue
-            label = sign_classify(mass, depth=depth)
-            root = u_k_inv(mass, log_k=depth)
+            label = sign_classify(mass, depth)
+            root = u_k_inv(mass, depth)
             assert (root > 0.0) == (label == "positive")
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sign_classify(0.5, depth=4.0)
+            sign_classify(0.5, 4.0)
         with pytest.raises(DomainError):
-            sign_classify(0.7, depth=4.0)
+            sign_classify(0.7, 4.0)
         with pytest.raises(DomainError):
-            sign_classify(0.3, depth=math.nan)
+            sign_classify(0.3, math.nan)
+        with pytest.raises(DomainError):
+            sign_classify(0.3, math.inf)
 
 
 class TestAggregate:
     def test_psi_envelope_positive_and_reported(self, reference_model):
         model = reference_model.atom_model()
-        log_k = 8.0
-        psi = model.g_value(math.exp(log_k)) - model.mass
-        envelope = dmhj_psi_envelope(1.2, model.mass, log_k, psi)
+        L = 8.0
+        psi = model.g_value(math.exp(L)) - model.mass
+        envelope = dmhj_psi_envelope(1.2, model.mass, L, psi)
         assert envelope > 0.0
         market = reference_model.market()
         residual = abs(
-            reference_model.exact_smile(0.05 * math.exp(-log_k))
-            - smile_dmhj(market, 0.05 * math.exp(-log_k), model.mass)
+            reference_model.exact_smile(0.05 * math.exp(-L))
+            - smile_dmhj(market, 0.05 * math.exp(-L), model.mass)
         )
         print(f"\nDMHJ residual vs envelope at k=-8: {residual:.6f} / {envelope:.6f}")
+
+    @pytest.mark.parametrize(
+        "T, L, psi",
+        [(math.nan, 8.0, 1e-3), (1.2, math.nan, 1e-3), (1.2, 8.0, math.nan)],
+    )
+    def test_psi_envelope_refuses_nan(self, T, L, psi):
+        with pytest.raises(DomainError):
+            dmhj_psi_envelope(T, 0.07, L, psi)
 
 
 class TestAtomModelValidation:
