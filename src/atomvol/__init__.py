@@ -42,6 +42,7 @@ from atomvol.wing import (
     sign_classify,
     smile_bounds,
     smile_dmhj,
+    smile_grid,
     smile_leading,
     smile_sqrt_form,
     smile_three_term_G,
@@ -85,6 +86,7 @@ __all__ = [
     "sign_classify",
     "smile_bounds",
     "smile_dmhj",
+    "smile_grid",
     "smile_leading",
     "smile_sqrt_form",
     "smile_three_term_G",

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from atomvol.errors import DomainError, NoSolutionError
 from atomvol.specfun import log_norm_cdf
 
@@ -163,6 +161,9 @@ def implied_vol(market: MarketSlice, quote: OptionQuote) -> float:
         if hi > _SIGMA_HI_MAX:
             raise NoSolutionError("price is not attainable below sigma = 1e9")
         f_hi = objective(hi)
+
+    # scipy.optimize is imported here, off the CLI's import path
+    from scipy.optimize import brentq
 
     sigma = brentq(objective, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
 

@@ -30,15 +30,10 @@ from atomvol.errors import (
 )
 from atomvol.montecarlo import McConfig, mc_smile
 from atomvol.svgplot import Series, render_plot
-from atomvol.wing import (
-    AtomModel,
-    BoundsConfig,
-    smile_bounds,
-    smile_dmhj,
-    smile_leading,
-    smile_three_term_atom,
-    smile_three_term_G,
-    smile_three_term_pT,
+# the smile_* functions stay bound here: perfbench/layers.py wraps them by name
+from atomvol.wing import (  # noqa: F401
+    AtomModel, BoundsConfig, smile_bounds, smile_dmhj, smile_grid, smile_leading,
+    smile_three_term_atom, smile_three_term_G, smile_three_term_pT,
 )
 
 __all__ = ["main"]
@@ -211,9 +206,9 @@ def _build_config(args, settings: dict[str, str]) -> RunConfig:
         n_points = _get_int(settings, "grid.n_points")
         if k_min is None or k_max is None or n_points is None:
             raise ConfigError("grid requires grid.k_min, grid.k_max, grid.n_points")
-        if not (k_min < k_max < 0.0):
+        if not (-math.inf < k_min < k_max < 0.0):
             raise ConfigError(
-                f"wing grid requires k_min < k_max < 0, got [{k_min}, {k_max}]"
+                f"wing grid requires finite k_min < k_max < 0, got [{k_min}, {k_max}]"
             )
         if n_points < 2:
             raise ConfigError(f"grid.n_points must be >= 2, got {n_points}")
@@ -266,47 +261,6 @@ _COLUMN_GROUPS = {
 }
 
 
-def _attempt(fn):
-    """fn(), or None where a formula's domain condition fails at this strike."""
-    try:
-        return fn()
-    except DomainError:
-        return None
-
-
-def _row(cfg: RunConfig, groups: set, k: float) -> dict[str, Optional[float]]:
-    market, atom = cfg.market, cfg.atom
-    K = market.x0 * math.exp(k)
-    cells: dict[str, Optional[float]] = dict.fromkeys(COLUMNS)
-    cells["k"], cells["K"] = k, K
-    if "approximations" in groups:
-        cells["three_term_atom"] = _attempt(
-            lambda: smile_three_term_atom(market, K, atom.mass)
-        )
-        cells["three_term_G"] = _attempt(lambda: smile_three_term_G(market, K, atom))
-        if atom.p_tilde is not None:
-            cells["three_term_pT"] = _attempt(
-                lambda: smile_three_term_pT(market, K, atom)
-            )
-        cells["dmhj"] = _attempt(lambda: smile_dmhj(market, K, atom.mass))
-        if atom.put is not None:
-            cells["leading"] = _attempt(
-                lambda: smile_leading(market, K, atom.put(K / market.x0) * market.x0)
-            )
-    if "band" in groups:
-        band = _attempt(lambda: smile_bounds(market, K, atom, cfg.bounds))
-        if band is not None:
-            cells["lower"], cells["upper"] = band
-    if "exact" in groups:
-        exact = cfg.cev_model.exact_smile(K)
-        cells["exact_iv"] = exact
-        if cells["three_term_atom"] is not None:
-            cells["err_three_term"] = abs(cells["three_term_atom"] - exact)
-        if cells["dmhj"] is not None:
-            cells["err_dmhj"] = abs(cells["dmhj"] - exact)
-    return cells
-
-
 def _rows_for_command(command: str, cfg: RunConfig) -> list[dict]:
     if cfg.k_grid is None:
         raise ConfigError(f"{command} requires a [grid] section")
@@ -319,7 +273,18 @@ def _rows_for_command(command: str, cfg: RunConfig) -> list[dict]:
         raise ConfigError("mc requires an [mc] section")
 
     groups = _COLUMN_GROUPS[command]
-    rows = [_row(cfg, groups, k) for k in cfg.k_grid]
+    strikes = [cfg.market.x0 * math.exp(k) for k in cfg.k_grid]
+    # a cell left NaN is undefined at its strike and prints empty
+    rows = [dict.fromkeys(COLUMNS, math.nan) | {"k": k, "K": K} for k, K in zip(cfg.k_grid, strikes)]
+    if groups:
+        for name, values in smile_grid(cfg.market, strikes, cfg.atom, groups, cfg.bounds).items():
+            for cells, value in zip(rows, values.tolist()):
+                cells[name] = value
+    if "exact" in groups:
+        for cells in rows:
+            cells["exact_iv"] = exact = cfg.cev_model.exact_smile(cells["K"])
+            cells["err_three_term"] = abs(cells["three_term_atom"] - exact)
+            cells["err_dmhj"] = abs(cells["dmhj"] - exact)
     if not with_mc:
         return rows
 
@@ -345,7 +310,7 @@ def _rows_for_command(command: str, cfg: RunConfig) -> list[dict]:
 # ----------------------------------------------------------------------
 def _format_cell(value) -> str:
     # undefined cells stay empty; never NaN text
-    if value is None or not math.isfinite(value):
+    if not math.isfinite(value):
         return ""
     return f"{value:.17g}"
 
@@ -377,7 +342,7 @@ def _emit_svg(rows: list[dict], cfg: RunConfig, command: str) -> str:
         pts = tuple(
             (cells["k"], cells[name] * sqT / abs(cells["k"]))
             for cells in rows
-            if cells.get(name) is not None and cells["k"] != 0.0
+            if math.isfinite(cells[name]) and cells["k"] != 0.0
         )
         if pts:
             series.append(

@@ -10,6 +10,11 @@ whose inverse replaces the plain normal quantile in the sharper
 three-term expansions, in the two-sided bounds, and in the diagnostic
 that bridges back to the De Marco-Hillairet-Jacquier formula.
 
+u_k and u_k_inv broadcast: a scalar call raises a typed DomainError on
+bad input, an array call gives NaN there.  smile_grid fills a strike
+vector with one u_k_inv call, NaN exactly where the smile_* call at that
+strike raises DomainError.
+
 Model input comes in normalized units (spot scaled to 1): an AtomModel
 carries the mass at zero plus optional evaluators for the continuous
 part.  All smile operations depend on the strike only through x0/K and
@@ -22,6 +27,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+from scipy.special import ndtri
+
 from atomvol.blackscholes import MarketSlice
 from atomvol.errors import (
     DomainAboveError,
@@ -31,21 +39,10 @@ from atomvol.errors import (
 from atomvol.specfun import norm_cdf, norm_cdf_inv
 
 __all__ = [
-    "AtomModel",
-    "BoundsConfig",
-    "u_k",
-    "u_k_inv",
-    "g_from_put",
-    "smile_leading",
-    "smile_three_term_atom",
-    "smile_three_term_pT",
-    "smile_three_term_G",
-    "smile_sqrt_form",
-    "smile_bounds",
-    "smile_dmhj",
-    "estims_ratio",
-    "sign_classify",
-    "dmhj_psi_envelope",
+    "AtomModel", "BoundsConfig", "u_k", "u_k_inv", "g_from_put",
+    "smile_leading", "smile_three_term_atom", "smile_three_term_pT", "smile_three_term_G",
+    "smile_sqrt_form", "smile_bounds", "smile_dmhj", "smile_grid",
+    "estims_ratio", "sign_classify", "dmhj_psi_envelope",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -64,67 +61,93 @@ def _depth(L: float) -> float:
     return L
 
 
-def u_k(x: float, L: float) -> float:
+def _flat(x, L):
+    """x and L as flat float vectors of their broadcast shape, L with a
+    stand-in 1 where it is no depth (so no NaN warnings arise), and the
+    depth check for _refuse."""
+    x, L = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(L, dtype=float))
+    shape, x, L = x.shape, x.ravel(), L.ravel()
+    bad = ~((0.0 < L) & (L < math.inf))
+    return shape, x, np.where(bad, 1.0, L), (bad, lambda: _depth(L[0]))
+
+
+def _refuse(shape, out, checks):
+    """out in the caller's shape, NaN where the mask of a (mask, error)
+    check holds; a 0-d call raises the error of the first such check."""
+    if shape == ():
+        for bad, error in checks:
+            if bad[0]:
+                raise error()
+        return float(out[0])
+    for bad, _ in checks:
+        out[bad] = math.nan
+    return out.reshape(shape)
+
+
+def _u(x, scale):
+    """U_K(x) for scale = 2 sqrt(pi) sqrt(L), unchecked."""
+    return norm_cdf(x) - np.exp(-0.5 * x * x) / scale
+
+
+def u_k(x, L):
     """U_K(x) = N(x) - exp(-x^2/2)/(2 sqrt(pi) sqrt(L)) at depth L = log K > 0.
 
     Strictly increasing on [-sqrt(2L), inf).  Taking the depth rather
     than K keeps indices far beyond the floating-point range usable.
+    x and L broadcast; a nan point or a bad depth raises DomainError in a
+    scalar call and gives NaN in an array call.
     """
-    L = _depth(L)
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError("u_k requires a point, got nan")
-    return norm_cdf(x) - math.exp(-0.5 * x * x) / (2.0 * _SQRT_PI * math.sqrt(L))
+    shape, x, L, depth_check = _flat(x, L)
+    nan_x = (np.isnan(x), lambda: DomainError("u_k requires a point, got nan"))
+    return _refuse(shape, _u(x, 2.0 * _SQRT_PI * np.sqrt(L)), [depth_check, nan_x])
 
 
-def _u_k_left_edge(L: float) -> tuple[float, float]:
+def _u_k_left_edge(L):
     """Left endpoint of the monotone branch and the value of U_K there."""
-    edge = -math.sqrt(2.0 * L)
-    value = norm_cdf(edge) - math.exp(-L) / (2.0 * _SQRT_PI * math.sqrt(L))
-    return edge, value
+    edge = -np.sqrt(2.0 * L)
+    return edge, norm_cdf(edge) - np.exp(-L) / (2.0 * _SQRT_PI * np.sqrt(L))
 
 
-def u_k_inv(y: float, L: float) -> float:
+def u_k_inv(y, L):
     """Inverse of U_K at depth L on its increasing branch [-sqrt(2L), inf).
 
-    Bisection against u_k: monotone, derivative-free, robust next to the
-    left endpoint where the derivative of U_K vanishes.  Raises
+    Bisection against U_K: monotone, derivative-free, robust next to the
+    left endpoint where the derivative of U_K vanishes.  y and L
+    broadcast.  Every element bisects its own bracket and stops on its
+    own (width below 1e-13, at most 200 halvings), so an array call
+    equals the scalar calls bit for bit.  A scalar call raises
     DomainBelowError for y below U_K(-sqrt(2L)) (the strike is not deep
     enough for that level), DomainAboveError for y >= 1 and DomainError
-    for nan.
+    for a nan level or a bad depth; an array call gives NaN there.
     """
-    L = _depth(L)
-    y = float(y)
-    if math.isnan(y):
-        raise DomainError("u_k_inv requires a level, got nan")
-    if y >= 1.0:
-        raise DomainAboveError(f"u_k_inv requires y < 1, got {y}")
+    shape, y, L, depth_check = _flat(y, L)
     lo, lo_val = _u_k_left_edge(L)
-    if y < lo_val:
-        raise DomainBelowError(
-            f"u_k_inv: y={y} below U_K at the left endpoint ({lo_val:.6g}) "
-            f"for L={L:.6g}"
-        )
-    if y == lo_val:
-        return lo
+    checks = [depth_check, (np.isnan(y), lambda: DomainError("u_k_inv requires a level, got nan")),
+              (y >= 1.0, lambda: DomainAboveError(f"u_k_inv requires y < 1, got {y[0]}")),
+              (y < lo_val, lambda: DomainBelowError(f"u_k_inv: y={y[0]} below U_K at the left "
+                                                    f"endpoint ({lo_val[0]:.6g}) for L={L[0]:.6g}"))]
+    at_edge = y == lo_val
+    active = ~np.logical_or.reduce([at_edge] + [bad for bad, _ in checks])
 
     # U_K < N pointwise, so the root sits above N^{-1}(y); seed a bracket
-    # from the normal quantile, never left of the branch, and expand
-    # until it straddles.
-    seed = min(max(y + 0.1, 0.05), 1.0 - 1e-16)
-    hi = max(norm_cdf_inv(seed) + 1.0, lo)
-    while u_k(hi, L) < y:
-        hi += 1.0
+    # from the normal quantile (of a level inside (0, 1)), never left of
+    # the branch, and expand until it straddles.
+    scale = 2.0 * _SQRT_PI * np.sqrt(L)
+    hi = np.maximum(ndtri(np.minimum(np.maximum(y + 0.1, 0.05), 1.0 - 1e-16)) + 1.0, lo)
+    short = active & (_u(hi, scale) < y)
+    while np.count_nonzero(short):
+        np.add(hi, 1.0, out=hi, where=short)
+        short &= _u(hi, scale) < y
 
     for _ in range(_INV_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if u_k(mid, L) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < _INV_TOL_X:
+        if not np.count_nonzero(active):
             break
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        below = _u(mid, scale) < y
+        np.copyto(lo, mid, where=active & below)
+        np.copyto(hi, mid, where=active > below)  # active and not below
+        active &= hi - lo >= _INV_TOL_X
+    return _refuse(shape, np.where(at_edge, lo, 0.5 * (lo + hi)), checks)
 
 
 def g_from_put(put_evaluator: Callable[[float], float], K: float) -> float:
@@ -176,8 +199,8 @@ class BoundsConfig:
     epsilon: float = 0.01
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 def _wing_depth(market: MarketSlice, K: float) -> float:
@@ -209,13 +232,9 @@ def smile_leading(market: MarketSlice, K: float, put_price: float) -> float:
     return _SQRT2 / math.sqrt(market.T) * (math.sqrt(a) - math.sqrt(b))
 
 
-def _three_term(T: float, L: float, u: float) -> float:
+def _three_term(T: float, L, u):
     sqT = math.sqrt(T)
-    return (
-        _SQRT2 / sqT * math.sqrt(L)
-        + u / sqT
-        + _SQRT2 / (4.0 * sqT) * u * u / math.sqrt(L)
-    )
+    return _SQRT2 / sqT * np.sqrt(L) + u / sqT + _SQRT2 / (4.0 * sqT) * u * u / np.sqrt(L)
 
 
 def smile_three_term_atom(market: MarketSlice, K: float, mass: float) -> float:
@@ -229,34 +248,31 @@ def smile_three_term_atom(market: MarketSlice, K: float, mass: float) -> float:
     L = _wing_depth(market, K)
     if mass <= 0.0:
         raise DomainBelowError(f"mass must lie in (0, 1), got {mass}")
-    u = u_k_inv(mass, L)
-    return _three_term(market.T, L, u)
+    return _three_term(market.T, L, u_k_inv(mass, L))
 
 
 def smile_three_term_pT(market: MarketSlice, K: float, model: AtomModel) -> float:
     """Three-term expansion with the full CDF p_T(K/x0) as the level."""
     L = _wing_depth(market, K)
-    u = u_k_inv(model.p_total(K / market.x0), L)
-    return _three_term(market.T, L, u)
+    return _three_term(market.T, L, u_k_inv(model.p_total(K / market.x0), L))
 
 
 def smile_three_term_G(market: MarketSlice, K: float, model: AtomModel) -> float:
     """Three-term expansion with G(x0/K) as the level (the sharpest variant)."""
     L = _wing_depth(market, K)
-    u = u_k_inv(model.g_value(market.x0 / K), L)
-    return _three_term(market.T, L, u)
+    return _three_term(market.T, L, u_k_inv(model.g_value(market.x0 / K), L))
 
 
-def _sqrt_form(T: float, L: float, u: float) -> float:
+def _sqrt_form(T: float, L, u):
     """sqrt(2/T) * sqrt(L + H(u; L)), H(u; L) = u^2 + u sqrt(u^2 + 2L).
 
     H is increasing in u on the valid branch of the U_K inverse, where
     the radicand is nonnegative.
     """
-    radicand = L + (u * u + u * math.sqrt(u * u + 2.0 * L))
-    if radicand < 0.0:  # cannot happen on the valid branch
+    radicand = L + (u * u + u * np.sqrt(u * u + 2.0 * L))
+    if np.any(radicand < 0.0):  # cannot happen on the valid branch
         raise AssertionError(f"negative radicand {radicand} in sqrt form")
-    return _SQRT2 / math.sqrt(T) * math.sqrt(radicand)
+    return _SQRT2 / math.sqrt(T) * np.sqrt(radicand)
 
 
 def smile_sqrt_form(market: MarketSlice, K: float, model: AtomModel) -> float:
@@ -268,8 +284,12 @@ def smile_sqrt_form(market: MarketSlice, K: float, model: AtomModel) -> float:
     strikes where the lower bound raises DomainBelowError.
     """
     L = _wing_depth(market, K)
-    u1 = u_k_inv(model.g_value(market.x0 / K), L)
-    return _sqrt_form(market.T, L, u1)
+    return _sqrt_form(market.T, L, u_k_inv(model.g_value(market.x0 / K), L))
+
+
+def _deflated(g: float, a: float, L: float, cfg: BoundsConfig) -> float:
+    """The level G_eps of the lower bound of smile_bounds, a = N^{-1}(mass)."""
+    return g - (3.0 * a * a + 2.0 + cfg.epsilon) / (8.0 * _SQRT_PI * L**1.5)
 
 
 def smile_bounds(
@@ -293,11 +313,14 @@ def smile_bounds(
     """
     L = _wing_depth(market, K)
     g = model.g_value(market.x0 / K)
-    a = norm_cdf_inv(model.mass)
-    deflation = (3.0 * a * a + 2.0 + cfg.epsilon) / (8.0 * _SQRT_PI * L**1.5)
+    g_eps = _deflated(g, norm_cdf_inv(model.mass), L, cfg)
     u1 = u_k_inv(g, L)
-    u2 = u_k_inv(g - deflation, L)
-    return _sqrt_form(market.T, L, u2), _sqrt_form(market.T, L, u1)
+    return _sqrt_form(market.T, L, u_k_inv(g_eps, L)), _sqrt_form(market.T, L, u1)
+
+
+def _dmhj(T: float, L, a: float):
+    sqT = math.sqrt(T)
+    return _SQRT2 / sqT * np.sqrt(L) + a / sqT + _SQRT2 * a * a / (4.0 * sqT) / np.sqrt(L)
 
 
 def smile_dmhj(market: MarketSlice, K: float, mass: float) -> float:
@@ -309,13 +332,58 @@ def smile_dmhj(market: MarketSlice, K: float, mass: float) -> float:
     The residual error function of that formula is not evaluated here.
     """
     L = _wing_depth(market, K)
-    a = norm_cdf_inv(mass)
-    sqT = math.sqrt(market.T)
-    return (
-        _SQRT2 / sqT * math.sqrt(L)
-        + a / sqT
-        + _SQRT2 * a * a / (4.0 * sqT) / math.sqrt(L)
-    )
+    return _dmhj(market.T, L, norm_cdf_inv(mass))
+
+
+def _or_nan(fn, *args) -> float:
+    try:
+        return fn(*args)
+    except DomainError:
+        return math.nan
+
+
+def smile_grid(market: MarketSlice, K, model: AtomModel, groups,
+               cfg: BoundsConfig = BoundsConfig()) -> dict[str, np.ndarray]:
+    """The columns of the "approximations" group (leading with a put,
+    three_term_atom, three_term_G, three_term_pT with a p_tilde, dmhj)
+    and of the "band" group (lower, upper) at the strikes K, for the
+    groups named, with all U_K inversions in one u_k_inv call.  Each is
+    an array over K, equal to the smile_* call at each strike and NaN
+    exactly where that call raises DomainError; other errors propagate.
+    """
+    approx, band = "approximations" in groups, "band" in groups
+    wanted = {"mass": approx, "G": True, "p_T": approx and model.p_tilde is not None, "G_eps": band}
+    names = [name for name, want in wanted.items() if want]
+    a = norm_cdf_inv(model.mass)
+    L, leading = np.full(len(K), math.nan), np.full(len(K), math.nan)
+    levels = np.full((len(names), len(K)), math.nan)
+    for j, strike in enumerate(K):
+        L[j] = depth = _or_nan(_wing_depth, market, strike)
+        if math.isnan(depth):
+            continue
+        g = _or_nan(model.g_value, market.x0 / strike)
+        level = {"mass": model.mass, "G": g, "G_eps": _deflated(g, a, depth, cfg)}
+        if wanted["p_T"]:
+            level["p_T"] = _or_nan(model.p_total, strike / market.x0)
+        if approx and model.put is not None:
+            put = _or_nan(model.put, strike / market.x0) * market.x0
+            leading[j] = _or_nan(smile_leading, market, strike, put)
+        levels[:, j] = [level[name] for name in names]
+    u = dict(zip(names, u_k_inv(levels, L)))
+
+    T, out = market.T, {}
+    if approx:
+        out["three_term_atom"], out["three_term_G"] = _three_term(T, L, u["mass"]), _three_term(T, L, u["G"])
+        out["dmhj"] = _dmhj(T, L, a)
+        if model.put is not None:
+            out["leading"] = leading
+        if wanted["p_T"]:
+            out["three_term_pT"] = _three_term(T, L, u["p_T"])
+    if band:
+        out["lower"], out["upper"] = _sqrt_form(T, L, u["G_eps"]), _sqrt_form(T, L, u["G"])
+        gap = np.isnan(out["lower"] + out["upper"])
+        out["lower"][gap] = out["upper"][gap] = math.nan
+    return out
 
 
 def estims_ratio(mass: float, L: float) -> float:

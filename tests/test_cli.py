@@ -4,12 +4,27 @@ SVG well-formedness, exit codes, and byte determinism."""
 import csv
 import io
 import math
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from atomvol import (
+    AtomModel,
+    MarketSlice,
+    smile_bounds,
+    smile_dmhj,
+    smile_leading,
+    smile_three_term_atom,
+    smile_three_term_G,
+    smile_three_term_pT,
+)
 from atomvol.cev import CevModel, CevParams
 from atomvol.cli import COLUMNS, main
+from atomvol.errors import DomainError
 
 CEV_CONFIG = """\
 [model]
@@ -278,6 +293,87 @@ class TestCommandsAgree:
                         assert cell == full[name], (command, name, record["k"])
 
 
+def _per_strike_reference(command, market, atom, K, cev_model=None):
+    """The cells of one row built from the scalar smile_* calls, None where
+    a call raises DomainError; the columns a command leaves out are None."""
+
+    def attempt(fn):
+        try:
+            return fn()
+        except DomainError:
+            return None
+
+    cells = dict.fromkeys(COLUMNS)
+    if command in ("smile", "compare"):
+        cells["three_term_atom"] = attempt(lambda: smile_three_term_atom(market, K, atom.mass))
+        cells["three_term_G"] = attempt(lambda: smile_three_term_G(market, K, atom))
+        cells["dmhj"] = attempt(lambda: smile_dmhj(market, K, atom.mass))
+        if atom.p_tilde is not None:
+            cells["three_term_pT"] = attempt(lambda: smile_three_term_pT(market, K, atom))
+        if atom.put is not None:
+            cells["leading"] = attempt(
+                lambda: smile_leading(market, K, atom.put(K / market.x0) * market.x0)
+            )
+    if command in ("bounds", "compare"):
+        cells["lower"], cells["upper"] = attempt(lambda: smile_bounds(market, K, atom)) or (None, None)
+    if command == "compare":
+        cells["exact_iv"] = exact = cev_model.exact_smile(K)
+        for err, approx in (("err_three_term", "three_term_atom"), ("err_dmhj", "dmhj")):
+            if cells[approx] is not None:
+                cells[err] = abs(cells[approx] - exact)
+    return cells
+
+
+class TestEmptyCells:
+    """The grid path leaves exactly the cells empty that the scalar smile_*
+    calls refuse, and fills the others with the same values."""
+
+    def check(self, capsys, command, argv, market, atom, k_grid, cev_model=None):
+        code, out, _ = run_cli(capsys, [command, *argv])
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == len(k_grid)
+        empty = set()
+        for row, k in zip(rows, k_grid):
+            record = dict(zip(header, row))
+            K = float(record["K"])
+            assert K == market.x0 * math.exp(k)
+            ref = _per_strike_reference(command, market, atom, K, cev_model)
+            for name in COLUMNS[2:]:
+                want = "" if ref[name] is None else f"{ref[name]:.17g}"
+                assert record[name] == want, (command, name, k)
+                if want == "":
+                    empty.add(name)
+        return empty
+
+    def test_atom_grid_with_nan_table_row(self, capsys, tmp_path):
+        # p_tilde interpolates through nan between 1e-12 and 1e-3; at the
+        # shallow end (k > about -3) the deflated level is out of range
+        table = tmp_path / "pt_nan.csv"
+        table.write_text("1e-12,0.001\n1e-6,nan\n1e-3,0.01\n1.0,0.2\n")
+        path = tmp_path / "atom.ini"
+        path.write_text(ATOM_CONFIG)
+        argv = ["--config", str(path), f"--model.p_tilde_csv={table}",
+                "--grid.k_min=-40", "--grid.k_max=-0.5", "--grid.n_points=27"]
+        us, ps = np.array([1e-12, 1e-6, 1e-3, 1.0]), np.array([0.001, math.nan, 0.01, 0.2])
+        atom = AtomModel(mass=0.0707, p_tilde=lambda u: float(np.interp(u, us, ps, left=0.0, right=ps[-1])))
+        market = MarketSlice(x0=1.0, T=1.2)
+        k_grid = np.linspace(-40.0, -0.5, 27).tolist()
+        empty = self.check(capsys, "smile", argv, market, atom, k_grid)
+        assert {"three_term_pT", "leading"} <= empty
+        assert "three_term_atom" not in empty
+        empty = self.check(capsys, "bounds", argv, market, atom, k_grid)
+        assert "lower" in empty
+
+    def test_cev_compare_shallow_and_deep(self, capsys, cev_config, reference_sigma):
+        argv = ["--config", cev_config, f"--model.sigma={reference_sigma!r}",
+                "--grid.k_min=-12", "--grid.k_max=-1", "--grid.n_points=12"]
+        model = CevModel(CevParams(s0=0.05, sigma=reference_sigma, rho=0.6, T=1.2))
+        k_grid = np.linspace(-12.0, -1.0, 12).tolist()
+        empty = self.check(capsys, "compare", argv, model.market(), model.atom_model(), k_grid, model)
+        assert "lower" in empty and "upper" in empty
+
+
 class TestMc:
     def test_rows_and_summary(self, capsys, cev_config):
         code, out, err = run_cli(
@@ -325,6 +421,19 @@ class TestExitCodes:
         )
         assert code == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize("bound", ["--grid.k_min=-inf", "--grid.k_min=nan"])
+    def test_non_finite_grid_is_config_error(self, capsys, cev_config, bound):
+        code, out, err = run_cli(capsys, ["smile", "--config", cev_config, bound])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: wing grid requires finite")
+
+    def test_infinite_epsilon_is_config_error(self, capsys, cev_config):
+        code, out, err = run_cli(capsys, ["bounds", "--config", cev_config, "--model.epsilon=inf"])
+        assert code == 2
+        assert out == ""
+        assert "epsilon" in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, ["mass", "--config", "/nonexistent.ini"])
@@ -391,3 +500,17 @@ class TestDeterminism:
         run_cli(capsys, ["smile", "--config", cev_config, "--out", str(out_path)])
         _, out, _ = run_cli(capsys, ["smile", "--config", cev_config])
         assert out_path.read_text() == out
+
+
+class TestImportCost:
+    def test_cli_import_skips_optimize_and_integrate(self):
+        # both packages are imported lazily, by implied_vol and the
+        # quadrature oracle; the CLI's own paths never need them
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import atomvol.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -20,6 +20,7 @@ from atomvol import (
     sign_classify,
     smile_bounds,
     smile_dmhj,
+    smile_grid,
     smile_leading,
     smile_sqrt_form,
     smile_three_term_G,
@@ -65,6 +66,14 @@ class TestUK:
                 u_k(0.0, L)
         with pytest.raises(DomainError):
             u_k(math.nan, 4.0)
+
+    def test_array_call_masks_bad_elements(self):
+        x = np.array([[0.0, math.nan, 0.0, 0.0, 1.0]])
+        L = np.array([4.0, 4.0, 0.0, math.inf, math.nan])
+        values = u_k(x, L)
+        assert values.shape == (1, 5)
+        assert values[0, 0] == u_k(0.0, 4.0)
+        assert np.isnan(values[0, 1:]).all()
 
 
 class TestUKInv:
@@ -144,6 +153,43 @@ class TestUKInv:
             assert abs(u_k(x, L) - y) <= 1e-12
         # monotone up to the bisection width
         assert x1 <= x2 + 1e-13
+
+
+# levels for the grid property: a fraction of the way from U_K(edge) up
+# to 1, U_K(edge) itself, or values outside the domain
+_LEVELS = st.one_of(
+    st.floats(0.0, 1.0), st.just("edge"), st.floats(-1.0, 1.5), st.sampled_from([math.nan, 1.0, -math.inf])
+)
+_DEPTHS = st.one_of(st.floats(1e-3, 1e4), st.sampled_from([0.0, -1.0, math.inf, math.nan]))
+
+
+class TestUKInvGrid:
+    @given(st.lists(st.tuples(_LEVELS, _DEPTHS), min_size=1, max_size=16), st.booleans())
+    def test_grid_equals_scalar_calls(self, pairs, two_rows):
+        ys, Ls = [], []
+        for level, L in pairs:
+            edge_value = _u_k_left_edge(L)[1] if 0.0 < L < math.inf else 0.0
+            if level == "edge":
+                level = edge_value
+            elif 0.0 <= level <= 1.0 and 0.0 < L < math.inf:
+                level = edge_value + level * (1.0 - edge_value)
+            ys.append(float(level))
+            Ls.append(L)
+        shape = (2, -1) if two_rows and len(ys) % 2 == 0 else (-1,)
+        grid = u_k_inv(np.reshape(ys, shape), np.reshape(Ls, shape))
+        assert grid.shape == np.reshape(ys, shape).shape
+        for y, L, x_grid in zip(ys, Ls, grid.ravel()):
+            try:
+                x = u_k_inv(y, L)
+            except DomainError:
+                assert math.isnan(x_grid), (y, L)
+            else:
+                assert np.float64(x).tobytes() == np.float64(x_grid).tobytes(), (y, L)
+
+    def test_scalar_depth_broadcasts(self):
+        ys = np.array([0.01, 0.07, 0.3, 0.9])
+        grid = u_k_inv(ys, 8.0)
+        assert grid.tolist() == [u_k_inv(y, 8.0) for y in ys]
 
 
 class TestGFromPut:
@@ -359,6 +405,77 @@ class TestBounds:
         assert max(scaled) <= 2.0 * min(scaled)
 
 
+def _grid_reference(market, K, model, cfg):
+    """The smile_grid columns built one strike at a time from the smile_*
+    calls, None where a call raises DomainError."""
+
+    def attempt(fn):
+        try:
+            return fn()
+        except DomainError:
+            return None
+
+    band = attempt(lambda: smile_bounds(market, K, model, cfg)) or (None, None)
+    cells = {
+        "three_term_atom": attempt(lambda: smile_three_term_atom(market, K, model.mass)),
+        "three_term_G": attempt(lambda: smile_three_term_G(market, K, model)),
+        "dmhj": attempt(lambda: smile_dmhj(market, K, model.mass)),
+        "lower": band[0],
+        "upper": band[1],
+    }
+    if model.p_tilde is not None:
+        cells["three_term_pT"] = attempt(lambda: smile_three_term_pT(market, K, model))
+    if model.put is not None:
+        put = attempt(lambda: model.put(K / market.x0) * market.x0)
+        cells["leading"] = attempt(lambda: smile_leading(market, K, put))
+    return cells
+
+
+class TestSmileGrid:
+    def test_matches_scalar_calls(self, reference_model):
+        # shallow strikes leave the band empty; K = 0 (k = -800) and
+        # K >= x0 are no wing strikes at all
+        market = reference_model.market()
+        model = reference_model.atom_model()
+        cfg = BoundsConfig(epsilon=0.05)
+        strikes = [0.05 * math.exp(k) for k in (-800.0, -30.0, -9.0, -6.0, -3.0, -1.0, -0.2)] + [0.05, 0.07]
+        columns = smile_grid(market, strikes, model, {"approximations", "band"}, cfg)
+        assert set(columns) == {
+            "three_term_atom", "three_term_G", "three_term_pT", "dmhj", "leading", "lower", "upper"
+        }
+        for j, K in enumerate(strikes):
+            for name, want in _grid_reference(market, K, model, cfg).items():
+                got = columns[name][j]
+                assert (want is None) == math.isnan(got), (name, K)
+                if want is not None:
+                    assert got == want, (name, K)
+        assert math.isnan(columns["lower"][4]) and not math.isnan(columns["lower"][2])
+
+    def test_groups_select_columns(self):
+        market, model = MarketSlice(x0=1.0, T=1.2), AtomModel(mass=0.07)
+        assert set(smile_grid(market, [0.01], model, {"band"})) == {"lower", "upper"}
+        assert set(smile_grid(market, [0.01], model, {"approximations"})) == {
+            "three_term_atom", "three_term_G", "dmhj"
+        }
+
+    @given(
+        mass=st.floats(1e-6, 0.49),
+        T=st.floats(0.05, 5.0),
+        epsilon=st.floats(1e-4, 1.0),
+        slope=st.floats(0.0, 1.0),
+        ks=st.lists(st.floats(-400.0, -0.01), min_size=1, max_size=12),
+    )
+    def test_lower_below_upper(self, mass, T, epsilon, slope, ks):
+        # put(k) = k (mass + slope k) gives G(x0/K) = mass + slope K/x0
+        model = AtomModel(mass=mass, put=lambda k: k * (mass + slope * k))
+        market = MarketSlice(x0=1.0, T=T)
+        columns = smile_grid(market, [math.exp(k) for k in ks], model, {"band"}, BoundsConfig(epsilon))
+        lower, upper = columns["lower"], columns["upper"]
+        assert (np.isnan(lower) == np.isnan(upper)).all()
+        band = ~np.isnan(lower)
+        assert (lower[band] <= upper[band]).all()
+
+
 class TestEstimsRatio:
     @pytest.mark.parametrize("mass", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_limit_and_monotone_approach(self, mass):
@@ -444,6 +561,11 @@ class TestAtomModelValidation:
             AtomModel(mass=0.0)
         with pytest.raises(DomainError):
             AtomModel(mass=1.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.01, math.nan, math.inf])
+    def test_bounds_epsilon_positive_and_finite(self, epsilon):
+        with pytest.raises(DomainError):
+            BoundsConfig(epsilon=epsilon)
 
     def test_p_total_requires_evaluator(self):
         with pytest.raises(DomainError):
