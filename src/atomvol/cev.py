@@ -8,8 +8,8 @@ approximation test.
 
 The CDF and the put price come from Schroder's closed form (J. Finance
 44, 1989): in y = khat * x^(2(1-rho)) the absorbed law is a Poisson
-mixture of Gamma laws, so each strike costs two vectorized incomplete
-gamma sums over weights that a model builds once, on first use.
+mixture of Gamma laws, so a strike vector costs two incomplete gamma
+blocks (strikes x terms) over weights that a model builds once.
 
 An independent quadrature of the density checks that closed form: it
 substitutes u = x^(2(1-rho)), which turns the integrable x^(1-2rho)
@@ -43,6 +43,7 @@ _TAIL_CUT = 64.0  # exp(-64) ~ 1.6e-28, far below every tolerance in use
 _SERIES_SDS = 12.0
 _SERIES_PAD = 40.0
 _SERIES_MAX_TERMS = 1 << 20  # 8 MB per weight vector
+_BLOCK_SIZE = 1 << 20  # strikes x terms per incomplete gamma block, 8 MB
 
 
 @dataclass(frozen=True)
@@ -193,24 +194,34 @@ class CevModel:
         p = np.exp(n * log_lam - lam - gammaln(n + 1.0))
         return n + 1.0, w, n + 1.0 + nu, p
 
-    def _y(self, K: float, label: str) -> float:
-        if not (K > 0.0 and math.isfinite(K)):
-            raise DomainError(f"{label} requires K > 0, got {K}")
-        return self._khat * K ** (2.0 * self._one_m_rho)
-
-    def p_tilde(self, K: float) -> float:
-        """Continuous-part CDF: integral of the density over (0, K]."""
-        y = self._y(K, "p_tilde")
-        shape_w, w, _, _ = self._series
-        return float(np.sum(w * gammainc(shape_w, y)))
-
-    def put_price(self, K: float) -> float:
-        """Exact put price K * (mass + p_tilde(K)) - E[S; 0 < S <= K]."""
-        y = self._y(K, "put_price")
+    def _series_sum(self, K, label: str, put: bool):
+        """p_tilde, or with put the put price, at a strike or strike array
+        K, as (strikes x terms) blocks summed along their last axis: a 0-d
+        call is a one-row block, equal to its array element bit for bit.
+        A bad K raises DomainError in a 0-d call, gives NaN in an array."""
+        shape, K = np.shape(K), np.asarray(K, dtype=float).ravel()
+        bad = ~((0.0 < K) & (K < math.inf))
+        if shape == () and bad[0]:
+            raise DomainError(f"{label} requires K > 0, got {K[0]}")
+        y = self._khat * np.where(bad, 1.0, K) ** (2.0 * self._one_m_rho)
         shape_w, w, shape_p, p = self._series
-        cdf = np.sum(w * gammainc(shape_w, y))
-        first = np.sum(p * gammainc(shape_p, y))
-        return float(K * (self.mass + cdf) - self.params.s0 * first)
+        out, step = np.empty(K.size), max(1, _BLOCK_SIZE // w.size)
+        for i in range(0, K.size, step):
+            rows, block = slice(i, i + step), y[i:i + step, None]
+            out[rows] = np.sum(w * gammainc(shape_w, block), axis=-1)
+            if put:
+                first = np.sum(p * gammainc(shape_p, block), axis=-1)
+                out[rows] = K[rows] * (self.mass + out[rows]) - self.params.s0 * first
+        out[bad] = math.nan
+        return float(out[0]) if shape == () else out.reshape(shape)
+
+    def p_tilde(self, K):
+        """Continuous-part CDF: integral of the density over (0, K]."""
+        return self._series_sum(K, "p_tilde", put=False)
+
+    def put_price(self, K):
+        """Exact put price K * (mass + p_tilde(K)) - E[S; 0 < S <= K]."""
+        return self._series_sum(K, "put_price", put=True)
 
     # ------------------------------------------------------------------
     # independent quadratures in the substituted variable u = x^(2(1-rho))
@@ -273,11 +284,12 @@ class CevModel:
 
     def exact_smile(self, K: float) -> float:
         """Ground-truth implied volatility: series put price inverted."""
+        return self.put_implied_vol(K, self.put_price(K))
+
+    def put_implied_vol(self, K: float, price: float) -> float:
+        """Implied volatility of the put price at a strike 0 < K < s0."""
         if not (0.0 < K < self.params.s0):
-            raise DomainError(
-                f"exact_smile requires 0 < K < s0, got K={K}, s0={self.params.s0}"
-            )
-        price = self.put_price(K)
+            raise DomainError(f"exact_smile requires 0 < K < s0, got K={K}, s0={self.params.s0}")
         return implied_vol(self.market(), OptionQuote(K, "put", price))
 
     def atom_model(self) -> AtomModel:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
 import math
 import sys
@@ -141,23 +142,21 @@ def _get_bool(settings: dict, key: str, default: bool = False) -> bool:
 
 def _tabulated_p_tilde(path: str):
     """Monotone interpolant of a two-column (u, p_tilde) CSV table."""
-    us, vals = [], []
+    pairs = []
     try:
         with open(path, newline="") as handle:
             for row in csv.reader(handle):
                 if not row or row[0].lstrip().startswith("#"):
                     continue
-                us.append(float(row[0]))
-                vals.append(float(row[1]))
+                u, value = row[:2]  # a one-column row raises ValueError here
+                pairs.append((float(u), float(value)))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read p_tilde table {path}: {exc}") from exc
-    if len(us) < 2:
+    if len(pairs) < 2:
         raise ConfigError(f"p_tilde table {path} needs at least two rows")
-    u_arr = np.asarray(us, dtype=float)
-    v_arr = np.asarray(vals, dtype=float)
-    order = np.argsort(u_arr)
-    u_arr, v_arr = u_arr[order], v_arr[order]
-    return lambda u: float(np.interp(u, u_arr, v_arr, left=0.0, right=v_arr[-1]))
+    table = np.asarray(pairs)
+    u_arr, v_arr = np.ascontiguousarray(table[np.argsort(table[:, 0])].T)
+    return lambda u: np.interp(u, u_arr, v_arr, left=0.0, right=v_arr[-1])
 
 
 def _build_config(args, settings: dict[str, str]) -> RunConfig:
@@ -277,12 +276,14 @@ def _rows_for_command(command: str, cfg: RunConfig) -> list[dict]:
     # a cell left NaN is undefined at its strike and prints empty
     rows = [dict.fromkeys(COLUMNS, math.nan) | {"k": k, "K": K} for k, K in zip(cfg.k_grid, strikes)]
     if groups:
+        # with a put model the rows also carry, unprinted, the "put" prices
+        # that fed leading and G; the exact smile inverts those
         for name, values in smile_grid(cfg.market, strikes, cfg.atom, groups, cfg.bounds).items():
             for cells, value in zip(rows, values.tolist()):
                 cells[name] = value
     if "exact" in groups:
         for cells in rows:
-            cells["exact_iv"] = exact = cfg.cev_model.exact_smile(cells["K"])
+            cells["exact_iv"] = exact = cfg.cev_model.put_implied_vol(cells["K"], cells["put"])
             cells["err_three_term"] = abs(cells["three_term_atom"] - exact)
             cells["err_dmhj"] = abs(cells["dmhj"] - exact)
     if not with_mc:
@@ -356,8 +357,11 @@ def _write_output(text: str, cfg: RunConfig) -> None:
     if cfg.out_path is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.out_path, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.out_path, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {cfg.out_path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +389,9 @@ def _cmd_table(command: str, cfg: RunConfig) -> None:
         _write_output(_emit_csv(rows), cfg)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="atomvol",
         description="Small-strike implied-volatility asymptotics for models "
@@ -403,8 +409,11 @@ def main(argv=None) -> int:
         sub.add_argument("--config", help="INI-style configuration file")
         sub.add_argument("--out", help="output path (default stdout)")
         sub.add_argument("--format", choices=["csv", "svg"], help="output format")
+    return parser
 
-    args, leftover = parser.parse_known_args(argv)
+
+def main(argv=None) -> int:
+    args, leftover = _parser().parse_known_args(argv)
     try:
         overrides = _parse_overrides(leftover)
         settings = _load_settings(args.config, overrides)

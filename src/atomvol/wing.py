@@ -10,10 +10,10 @@ whose inverse replaces the plain normal quantile in the sharper
 three-term expansions, in the two-sided bounds, and in the diagnostic
 that bridges back to the De Marco-Hillairet-Jacquier formula.
 
-u_k and u_k_inv broadcast: a scalar call raises a typed DomainError on
-bad input, an array call gives NaN there.  smile_grid fills a strike
-vector with one u_k_inv call, NaN exactly where the smile_* call at that
-strike raises DomainError.
+u_k, u_k_inv and smile_leading broadcast: a scalar call raises a typed
+DomainError on bad input, an array call gives NaN there.  smile_grid
+fills a strike vector with one call of each evaluator and of u_k_inv,
+NaN exactly where the smile_* call at that strike raises DomainError.
 
 Model input comes in normalized units (spot scaled to 1): an AtomModel
 carries the mass at zero plus optional evaluators for the continuous
@@ -166,8 +166,9 @@ class AtomModel:
     p_tilde  -- optional continuous-part CDF u -> P(0 < X <= u)
     put      -- optional normalized put price k -> E (k - X)^+, 0 < k < 1
 
-    G comes from the put via g_from_put where there is one, and is the
-    constant mass otherwise.
+    The smile_* functions call an evaluator with a float, smile_grid
+    once per grid with the array of wing strikes K/x0, needing an array
+    back.  G(x0/K) = put(K/x0) x0/K with a put, the mass without one.
     """
 
     mass: float
@@ -177,12 +178,6 @@ class AtomModel:
     def __post_init__(self):
         if not (0.0 < self.mass < 1.0):
             raise DomainError(f"mass must lie in (0, 1), got {self.mass}")
-
-    def g_value(self, K: float) -> float:
-        """G(K) from the put, or the mass without one."""
-        if self.put is not None:
-            return g_from_put(self.put, K)
-        return self.mass
 
     def p_total(self, u: float) -> float:
         """Full CDF mass + p_tilde(u); requires the p_tilde evaluator."""
@@ -212,24 +207,34 @@ def _wing_depth(market: MarketSlice, K: float) -> float:
             f"wing formulas require K < x0 (asymptotics as K -> 0); "
             f"got K={K}, x0={market.x0}"
         )
-    return math.log(market.x0 / K)
+    return float(np.log(market.x0 / K))  # smile_grid's log: the two agree bit for bit
 
 
-def smile_leading(market: MarketSlice, K: float, put_price: float) -> float:
+def _g(market: MarketSlice, K: float, model: AtomModel) -> float:
+    """The level G(x0/K) = P(K)/K, P(K) = x0 put(K/x0); the mass without a put."""
+    return model.put(K / market.x0) * market.x0 / K if model.put is not None else model.mass
+
+
+def smile_leading(market: MarketSlice, K, put_price):
     """Leading-order left-wing formula from the put price alone:
 
         sqrt(2/T) * [sqrt(log(x0/P)) - sqrt(log(K/P))].
 
-    The error term of the underlying expansion is not included.
+    The error term of the underlying expansion is not included.  K and
+    put_price broadcast: off the wing, for a put price outside (0, K) or
+    one too large for the formula a scalar call raises DomainError and
+    an array call gives NaN.
     """
-    _wing_depth(market, K)
-    if not (0.0 < put_price < K):
-        raise DomainError(f"put price must lie in (0, K), got {put_price}")
-    a = math.log(market.x0 / put_price)
-    b = math.log(K / put_price)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("put price too large for the leading-order formula")
-    return _SQRT2 / math.sqrt(market.T) * (math.sqrt(a) - math.sqrt(b))
+    K, P = np.broadcast_arrays(np.asarray(K, dtype=float), np.asarray(put_price, dtype=float))
+    shape, K, P = K.shape, K.ravel(), P.ravel()
+    with np.errstate(all="ignore"):
+        a, b = np.log(market.x0 / P), np.log(K / P)
+        out = _SQRT2 / math.sqrt(market.T) * (np.sqrt(a) - np.sqrt(b))
+    return _refuse(shape, out, [
+        (~((0.0 < K) & (K < market.x0)), lambda: _wing_depth(market, K[0])),
+        (~((0.0 < P) & (P < K)), lambda: DomainError(f"put price must lie in (0, K), got {P[0]}")),
+        (~((a > 0.0) & (b > 0.0)), lambda: DomainError("put price too large for the leading-order formula")),
+    ])
 
 
 def _three_term(T: float, L, u):
@@ -260,7 +265,7 @@ def smile_three_term_pT(market: MarketSlice, K: float, model: AtomModel) -> floa
 def smile_three_term_G(market: MarketSlice, K: float, model: AtomModel) -> float:
     """Three-term expansion with G(x0/K) as the level (the sharpest variant)."""
     L = _wing_depth(market, K)
-    return _three_term(market.T, L, u_k_inv(model.g_value(market.x0 / K), L))
+    return _three_term(market.T, L, u_k_inv(_g(market, K, model), L))
 
 
 def _sqrt_form(T: float, L, u):
@@ -284,12 +289,12 @@ def smile_sqrt_form(market: MarketSlice, K: float, model: AtomModel) -> float:
     strikes where the lower bound raises DomainBelowError.
     """
     L = _wing_depth(market, K)
-    return _sqrt_form(market.T, L, u_k_inv(model.g_value(market.x0 / K), L))
+    return _sqrt_form(market.T, L, u_k_inv(_g(market, K, model), L))
 
 
 def _deflated(g: float, a: float, L: float, cfg: BoundsConfig) -> float:
     """The level G_eps of the lower bound of smile_bounds, a = N^{-1}(mass)."""
-    return g - (3.0 * a * a + 2.0 + cfg.epsilon) / (8.0 * _SQRT_PI * L**1.5)
+    return g - (3.0 * a * a + 2.0 + cfg.epsilon) / (8.0 * _SQRT_PI * np.power(L, 1.5))
 
 
 def smile_bounds(
@@ -312,7 +317,7 @@ def smile_bounds(
     threshold and raises DomainBelowError above it.
     """
     L = _wing_depth(market, K)
-    g = model.g_value(market.x0 / K)
+    g = _g(market, K, model)
     g_eps = _deflated(g, norm_cdf_inv(model.mass), L, cfg)
     u1 = u_k_inv(g, L)
     return _sqrt_form(market.T, L, u_k_inv(g_eps, L)), _sqrt_form(market.T, L, u1)
@@ -335,54 +340,48 @@ def smile_dmhj(market: MarketSlice, K: float, mass: float) -> float:
     return _dmhj(market.T, L, norm_cdf_inv(mass))
 
 
-def _or_nan(fn, *args) -> float:
-    try:
-        return fn(*args)
-    except DomainError:
-        return math.nan
-
-
 def smile_grid(market: MarketSlice, K, model: AtomModel, groups,
                cfg: BoundsConfig = BoundsConfig()) -> dict[str, np.ndarray]:
     """The columns of the "approximations" group (leading with a put,
     three_term_atom, three_term_G, three_term_pT with a p_tilde, dmhj)
     and of the "band" group (lower, upper) at the strikes K, for the
-    groups named, with all U_K inversions in one u_k_inv call.  Each is
-    an array over K, equal to the smile_* call at each strike and NaN
-    exactly where that call raises DomainError; other errors propagate.
+    groups named, from one call of each evaluator and one u_k_inv call.
+    Each is an array over K, equal to the smile_* call at each strike
+    and NaN exactly where that call raises DomainError; other errors
+    propagate.  With a put, "put" holds the put prices x0 put(K/x0) that
+    feed leading and G, NaN off the wing.
     """
     approx, band = "approximations" in groups, "band" in groups
+    K = np.asarray(K, dtype=float)
+    wing = (0.0 < K) & (K < market.x0)  # the strikes _wing_depth accepts
+    L, P, p_T = np.full((3, K.size), math.nan)
+    with np.errstate(over="ignore"):  # a subnormal strike is infinitely deep
+        L[wing] = np.log(market.x0 / K[wing])
+    if model.put is not None:
+        P[wing] = model.put(K[wing] / market.x0) * market.x0
     wanted = {"mass": approx, "G": True, "p_T": approx and model.p_tilde is not None, "G_eps": band}
-    names = [name for name, want in wanted.items() if want]
+    if wanted["p_T"]:
+        p_T[wing] = model.mass + model.p_tilde(K[wing] / market.x0)
+    g = P / K if model.put is not None else np.full(K.size, model.mass)
     a = norm_cdf_inv(model.mass)
-    L, leading = np.full(len(K), math.nan), np.full(len(K), math.nan)
-    levels = np.full((len(names), len(K)), math.nan)
-    for j, strike in enumerate(K):
-        L[j] = depth = _or_nan(_wing_depth, market, strike)
-        if math.isnan(depth):
-            continue
-        g = _or_nan(model.g_value, market.x0 / strike)
-        level = {"mass": model.mass, "G": g, "G_eps": _deflated(g, a, depth, cfg)}
-        if wanted["p_T"]:
-            level["p_T"] = _or_nan(model.p_total, strike / market.x0)
-        if approx and model.put is not None:
-            put = _or_nan(model.put, strike / market.x0) * market.x0
-            leading[j] = _or_nan(smile_leading, market, strike, put)
-        levels[:, j] = [level[name] for name in names]
-    u = dict(zip(names, u_k_inv(levels, L)))
+    level = {"mass": np.full(K.size, model.mass), "G": g, "p_T": p_T, "G_eps": _deflated(g, a, L, cfg)}
+    names = [name for name, want in wanted.items() if want]
+    u = dict(zip(names, u_k_inv(np.array([level[name] for name in names]), L)))
 
     T, out = market.T, {}
     if approx:
         out["three_term_atom"], out["three_term_G"] = _three_term(T, L, u["mass"]), _three_term(T, L, u["G"])
         out["dmhj"] = _dmhj(T, L, a)
         if model.put is not None:
-            out["leading"] = leading
+            out["leading"] = smile_leading(market, K, P)
         if wanted["p_T"]:
             out["three_term_pT"] = _three_term(T, L, u["p_T"])
     if band:
         out["lower"], out["upper"] = _sqrt_form(T, L, u["G_eps"]), _sqrt_form(T, L, u["G"])
         gap = np.isnan(out["lower"] + out["upper"])
         out["lower"][gap] = out["upper"][gap] = math.nan
+    if model.put is not None:
+        out["put"] = P
     return out
 
 

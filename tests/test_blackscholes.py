@@ -2,9 +2,12 @@
 contract down to strikes twelve log-units below spot."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from atomvol import (
@@ -136,6 +139,19 @@ class TestImpliedVol:
                         continue  # ITM price saturated at intrinsic in floats
                     result = implied_vol(market, OptionQuote(K, kind, price))
                     assert result == pytest.approx(sigma, abs=1e-9)
+
+    @given(k=st.floats(-50.0, 5.0), vol_t=st.floats(1e-3, 10.0), T=st.floats(0.1, 5.0))
+    def test_round_trip_property(self, k, vol_t, T):
+        # the out-of-the-money side: a put at or below spot, a call above it
+        market, K, sigma = MarketSlice(x0=1.0, T=T), math.exp(k), vol_t / math.sqrt(T)
+        kind = "put" if k <= 0.0 else "call"
+        price = bs_price(market, K, sigma, kind)
+        # a subnormal price has already lost bits: at k = -4.40 and
+        # sigma sqrt(T) = 0.115 the put is 5e-324, the smallest subnormal,
+        # and its inverse misses sigma by 5.5e-5 relative
+        assume(price >= sys.float_info.min)
+        result = implied_vol(market, OptionQuote(K, kind, price))
+        assert result == pytest.approx(sigma, rel=1e-9, abs=0.0), (k, vol_t, T, price)
 
     def test_deep_wing_tiny_price(self):
         # worst case from the sampling study: price ~ 3e-183

@@ -5,11 +5,15 @@ Poisson-Gamma series behind put_price and p_tilde is also checked
 against the independent density quadrature."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from atomvol import CevModel, CevParams
+import atomvol.cev as cev
+from atomvol import CevModel, CevParams, g_from_put
 from atomvol.errors import DomainError, QuadratureError
 
 # configuration B: moderate parameters with closed-form mass e^{-8}
@@ -232,6 +236,54 @@ class TestSeriesOracle:
             compared += 1
         assert compared >= 40
 
+    @given(
+        rho=st.floats(0.05, 0.95),
+        vol=st.floats(0.1, 1.0),
+        T=st.floats(0.25, 2.0),
+        s0=st.sampled_from([0.05, 1.0, 100.0]),
+        ks=st.lists(st.one_of(st.floats(-12.0, -0.5), st.sampled_from([-math.inf, math.nan])),
+                    min_size=1, max_size=4),
+        bad=st.lists(st.sampled_from([0.0, -1.0, math.inf, math.nan]), max_size=2),
+    )
+    # mass and put underflow to 0 and p_tilde to 1e-318
+    @example(rho=0.5, vol=0.1015625, T=0.25, s0=0.05, ks=[-7.0], bad=[])
+    def test_vector_against_quadrature_and_scalar_calls(self, rho, vol, T, s0, ks, bad):
+        # k = -inf is the strike 0; bad strikes are refused by a 0-d call
+        # and give NaN in the vector
+        model = CevModel(CevParams(s0=s0, sigma=vol * s0 ** (1.0 - rho), rho=rho, T=T))
+        strikes = [s0 * math.exp(k) for k in ks] + bad
+        puts, cdfs = model.put_price(np.array(strikes)), model.p_tilde(np.array(strikes))
+        for K, put, cdf in zip(strikes, puts.tolist(), cdfs.tolist()):
+            if not 0.0 < K < math.inf:
+                assert math.isnan(put) and math.isnan(cdf)
+                with pytest.raises(DomainError):
+                    model.put_price(K)
+                with pytest.raises(DomainError):
+                    model.p_tilde(K)
+                continue
+            assert put == model.put_price(K) and cdf == model.p_tilde(K)
+            # the integrands are scaled as in test_against_quadrature_grid,
+            # by the size K p_tilde(K) of the continuous part; a part below
+            # the smallest normal double has no relative accuracy left, so
+            # it is integrated unscaled and compared to that absolute size
+            tiny = sys.float_info.min
+            scale = K * cdf if K * cdf >= tiny else 1.0
+            u_hi = min(K ** (2.0 * (1.0 - rho)), model._u_tail())
+            quad_put = K * model.mass + scale * model._quad(lambda x: (K - x) / scale, 0.0, u_hi, "put")
+            quad_cdf = scale / K * model._quad(lambda x: K / scale, 0.0, u_hi, "p_tilde")
+            assert put == pytest.approx(quad_put, rel=1e-9, abs=tiny)
+            assert cdf == pytest.approx(quad_cdf, rel=1e-9, abs=tiny)
+
+    def test_chunked_blocks_equal_scalar_calls(self, printed_model, monkeypatch):
+        # blocks of two strikes: a chunk boundary moves no bit, and the
+        # caller's shape comes back
+        model = CevModel(printed_model.params)
+        monkeypatch.setattr(cev, "_BLOCK_SIZE", 2 * model._series[1].size)
+        strikes = 0.05 * np.exp(np.linspace(-12.0, -0.5, 7))
+        for method in (model.put_price, model.p_tilde):
+            assert method(strikes).tolist() == [method(K) for K in strikes.tolist()]
+            assert method(strikes.reshape(7, 1)).shape == (7, 1)
+
     def test_near_unit_elasticity(self):
         # 60-digit oracle; the quadrature reads 3.28e-25 here
         params = CevParams(s0=1.0, sigma=0.3, rho=0.99, T=1.0)
@@ -283,7 +335,7 @@ class TestAtomModelAdapter:
     def test_normalized_consistency(self, printed_model):
         model = printed_model.atom_model()
         # G(K) = K * put(1/K) in normalized units; frozen G(e^6)
-        assert model.g_value(math.exp(6.0)) == pytest.approx(
+        assert g_from_put(model.put, math.exp(6.0)) == pytest.approx(
             5.37386042299495968e-3, rel=1e-9
         )
         assert model.mass == printed_model.mass

@@ -317,7 +317,8 @@ def _per_strike_reference(command, market, atom, K, cev_model=None):
     if command in ("bounds", "compare"):
         cells["lower"], cells["upper"] = attempt(lambda: smile_bounds(market, K, atom)) or (None, None)
     if command == "compare":
-        cells["exact_iv"] = exact = cev_model.exact_smile(K)
+        # compare inverts the put price that feeds leading and G
+        cells["exact_iv"] = exact = cev_model.put_implied_vol(K, atom.put(K / market.x0) * market.x0)
         for err, approx in (("err_three_term", "three_term_atom"), ("err_dmhj", "dmhj")):
             if cells[approx] is not None:
                 cells[err] = abs(cells[approx] - exact)
@@ -435,6 +436,21 @@ class TestExitCodes:
         assert out == ""
         assert "epsilon" in err
 
+    def test_one_column_table_row_is_config_error(self, capsys, atom_config, tmp_path):
+        table = tmp_path / "short.csv"
+        table.write_text("1e-9,0.0\n0.5\n1.0,0.2\n")
+        code, out, err = run_cli(capsys, ["smile", "--config", atom_config, f"--model.p_tilde_csv={table}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot read p_tilde table {table}")
+
+    def test_unwritable_out_is_config_error(self, capsys, cev_config, tmp_path):
+        target = tmp_path / "no_such_dir" / "x.csv"
+        code, out, err = run_cli(capsys, ["smile", "--config", cev_config, "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot write output {target}")
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, ["mass", "--config", "/nonexistent.ini"])
         assert code == 2
@@ -500,6 +516,32 @@ class TestDeterminism:
         run_cli(capsys, ["smile", "--config", cev_config, "--out", str(out_path)])
         _, out, _ = run_cli(capsys, ["smile", "--config", cev_config])
         assert out_path.read_text() == out
+
+
+class TestCachedParser:
+    def test_in_process_calls_match_fresh_interpreters(self, capsys, cev_config):
+        # main builds its parser once per process; a sequence of calls in
+        # this process must give what each call gives in a fresh one
+        runs = [
+            ["mass", "--config", cev_config, "--model.sigma=0.25"],
+            ["smile", "--config", cev_config],
+            ["nosuch", "--config", cev_config],
+            ["bounds", "--config", cev_config, "--model.sigma=0.3", "--format", "svg"],
+            ["compare", "--config", cev_config, "--grid.n_points=3"],
+            ["mc", "--config", cev_config, "--mc.n_paths=2000", "--mc.n_steps=20", "--mc.seed=3"],
+        ]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        probe = f"import sys; sys.path.insert(0, {src!r}); from atomvol.cli import main; sys.exit(main(sys.argv[1:]))"
+        fresh = [subprocess.Popen([sys.executable, "-c", probe, *argv], stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True) for argv in runs]
+        for argv, proc in zip(runs, fresh):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # an argparse usage error
+                code = exc.code
+            captured = capsys.readouterr()
+            out, err = proc.communicate(timeout=120)
+            assert (code, captured.out, captured.err) == (proc.returncode, out, err), argv
 
 
 class TestImportCost:

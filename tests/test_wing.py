@@ -205,7 +205,7 @@ class TestGFromPut:
         # 0 <= G(K) - mass <= continuous CDF at 1/K
         model = printed_model.atom_model()
         K = math.exp(14.0)
-        gap = model.g_value(K) - printed_model.mass
+        gap = g_from_put(model.put, K) - printed_model.mass
         assert -1e-13 <= gap <= model.p_tilde(1.0 / K) + 1e-13
 
 
@@ -428,6 +428,7 @@ def _grid_reference(market, K, model, cfg):
     if model.put is not None:
         put = attempt(lambda: model.put(K / market.x0) * market.x0)
         cells["leading"] = attempt(lambda: smile_leading(market, K, put))
+        cells["put"] = put if 0.0 < K < market.x0 else None
     return cells
 
 
@@ -441,7 +442,7 @@ class TestSmileGrid:
         strikes = [0.05 * math.exp(k) for k in (-800.0, -30.0, -9.0, -6.0, -3.0, -1.0, -0.2)] + [0.05, 0.07]
         columns = smile_grid(market, strikes, model, {"approximations", "band"}, cfg)
         assert set(columns) == {
-            "three_term_atom", "three_term_G", "three_term_pT", "dmhj", "leading", "lower", "upper"
+            "three_term_atom", "three_term_G", "three_term_pT", "dmhj", "leading", "lower", "upper", "put"
         }
         for j, K in enumerate(strikes):
             for name, want in _grid_reference(market, K, model, cfg).items():
@@ -536,7 +537,7 @@ class TestAggregate:
     def test_psi_envelope_positive_and_reported(self, reference_model):
         model = reference_model.atom_model()
         L = 8.0
-        psi = model.g_value(math.exp(L)) - model.mass
+        psi = g_from_put(model.put, math.exp(L)) - model.mass
         envelope = dmhj_psi_envelope(1.2, model.mass, L, psi)
         assert envelope > 0.0
         market = reference_model.market()
