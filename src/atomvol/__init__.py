@@ -11,7 +11,7 @@ from atomvol.blackscholes import (
     implied_vol,
     vega,
 )
-from atomvol.cev import CevModel, CevParams
+from atomvol.cev import CevModel, CevParams, reg_inc_gamma, reg_inc_gamma_upper
 from atomvol.errors import (
     AtomvolError,
     ConfigError,
@@ -28,17 +28,13 @@ from atomvol.montecarlo import (
     mc_smile,
     simulate_terminals,
 )
-from atomvol.specfun import (
-    norm_cdf,
-    norm_cdf_inv,
-    reg_inc_gamma,
-    reg_inc_gamma_upper,
-)
 from atomvol.wing import (
     AtomModel,
     BoundsConfig,
     estims_ratio,
     g_from_put,
+    norm_cdf,
+    norm_cdf_inv,
     sign_classify,
     smile_bounds,
     smile_dmhj,

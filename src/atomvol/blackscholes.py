@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from atomvol.errors import DomainError, NoSolutionError
-from atomvol.specfun import log_norm_cdf
+from scipy.special import log_ndtr
+
+from atomvol.errors import DomainError, NoSolutionError, positive
 
 __all__ = [
     "MarketSlice",
@@ -21,6 +22,7 @@ __all__ = [
     "bs_price",
     "vega",
     "implied_vol",
+    "log_norm_cdf",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -37,10 +39,8 @@ class MarketSlice:
     T: float
 
     def __post_init__(self):
-        if not (self.x0 > 0.0 and math.isfinite(self.x0)):
-            raise DomainError(f"spot must be positive, got {self.x0}")
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise DomainError(f"maturity must be positive, got {self.T}")
+        positive("spot", self.x0)
+        positive("maturity", self.T)
 
 
 @dataclass(frozen=True)
@@ -52,22 +52,23 @@ class OptionQuote:
     price: float
 
     def __post_init__(self):
-        if not (self.strike > 0.0 and math.isfinite(self.strike)):
-            raise DomainError(f"strike must be positive, got {self.strike}")
+        positive("strike", self.strike)
         if self.kind not in ("call", "put"):
             raise DomainError(f"kind must be 'call' or 'put', got {self.kind!r}")
         if not (self.price >= 0.0 and math.isfinite(self.price)):
             raise DomainError(f"price must be nonnegative, got {self.price}")
 
 
+def log_norm_cdf(x):
+    """log N(x), accurate far into the left tail where N(x) underflows."""
+    return log_ndtr(x)
+
+
 def d1_d2(market: MarketSlice, strike: float, sigma: float) -> tuple[float, float]:
     """The d1, d2 arguments of the Black-Scholes formula; d1 - d2 = sigma*sqrt(T)."""
-    if not 0.0 < strike < math.inf:  # also refuses nan
-        raise DomainError(f"strike must be positive and finite, got {strike}")
-    if not 0.0 < sigma < math.inf:
-        raise DomainError(f"sigma must be positive and finite, got {sigma}")
-    st = sigma * math.sqrt(market.T)
-    d1 = (math.log(market.x0 / strike) + 0.5 * st * st) / st
+    K = positive("strike", strike)
+    st = positive("sigma", sigma) * math.sqrt(market.T)
+    d1 = (math.log(market.x0 / K) + 0.5 * st * st) / st
     return d1, d1 - st
 
 

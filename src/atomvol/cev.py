@@ -26,15 +26,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammainc, gammaln, ive
+from scipy.special import gammainc, gammaincc, gammaln, ive
 
 from atomvol.blackscholes import MarketSlice, OptionQuote, implied_vol
-from atomvol.errors import DomainError, QuadratureError
-# reg_inc_gamma stays importable from here: perfbench/layers.py wraps it
-from atomvol.specfun import reg_inc_gamma, reg_inc_gamma_upper  # noqa: F401
+from atomvol.errors import DomainError, QuadratureError, positive, positive_check, refuse, unit
 from atomvol.wing import AtomModel
 
-__all__ = ["CevParams", "CevModel"]
+__all__ = ["CevParams", "CevModel", "reg_inc_gamma", "reg_inc_gamma_upper"]
 
 _EPSABS = 1e-14
 _EPSREL = 1e-11
@@ -44,6 +42,31 @@ _SERIES_SDS = 12.0
 _SERIES_PAD = 40.0
 _SERIES_MAX_TERMS = 1 << 20  # 8 MB per weight vector
 _BLOCK_SIZE = 1 << 20  # strikes x terms per incomplete gamma block, 8 MB
+
+
+def _gamma_args(name: str, a: float, y: float) -> tuple[float, float]:
+    y = float(y)
+    if not y >= 0.0:  # also refuses nan
+        raise DomainError(f"{name} requires y >= 0, got {y}")
+    return positive(f"{name} shape a", float(a)), y
+
+
+def reg_inc_gamma(a: float, y: float) -> float:
+    """Regularized lower incomplete gamma function P(a, y).
+
+    P(a, y) = (1/Gamma(a)) * integral_0^y t^(a-1) e^(-t) dt, nondecreasing
+    in y with limit 1 as y -> infinity.
+    """
+    return float(gammainc(*_gamma_args("reg_inc_gamma", a, y)))
+
+
+def reg_inc_gamma_upper(a: float, y: float) -> float:
+    """Regularized upper incomplete gamma function Q(a, y) = 1 - P(a, y).
+
+    Evaluated directly, not as 1 - reg_inc_gamma(a, y), so it keeps full
+    relative accuracy where Q is far below the double epsilon.
+    """
+    return float(gammaincc(*_gamma_args("reg_inc_gamma_upper", a, y)))
 
 
 @dataclass(frozen=True)
@@ -60,14 +83,11 @@ class CevParams:
     T: float
 
     def __post_init__(self):
-        if not (self.s0 > 0.0 and math.isfinite(self.s0)):
-            raise DomainError(f"s0 must be positive, got {self.s0}")
+        positive("s0", self.s0)
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
             raise DomainError(f"sigma must be nonnegative, got {self.sigma}")
-        if not (0.0 < self.rho < 1.0):
-            raise DomainError(f"rho must lie in (0, 1), got {self.rho}")
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise DomainError(f"T must be positive, got {self.T}")
+        unit("rho", self.rho)
+        positive("T", self.T)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "CevParams":
@@ -92,13 +112,12 @@ class CevModel:
     """Terminal distribution of the CEV price at maturity params.T."""
 
     def __init__(self, params: CevParams):
-        if params.sigma <= 0.0:
-            raise DomainError("CEV distribution functions require sigma > 0")
         self.params = params
         s0, sigma, rho, T = params.s0, params.sigma, params.rho, params.T
         self._one_m_rho = 1.0 - rho
-        # exponent scale 1/(2 T sigma^2 (1-rho)^2) and Bessel order 1/(2(1-rho))
-        self._khat = 1.0 / (2.0 * T * sigma**2 * self._one_m_rho**2)
+        # exponent scale 1/(2 T sigma^2 (1-rho)^2), refused at sigma = 0 and
+        # where sigma**2 underflows to 0, and Bessel order 1/(2(1-rho))
+        self._khat = 1.0 / positive("CEV scale 2 T sigma^2 (1-rho)^2", 2.0 * T * sigma**2 * self._one_m_rho**2)
         self.bessel_order = 1.0 / (2.0 * self._one_m_rho)
         self._u0 = s0 ** (2.0 * self._one_m_rho)
         self.gamma_args = (self.bessel_order, self._khat * self._u0)
@@ -117,7 +136,7 @@ class CevModel:
     def log_density(self, x):
         """log of the continuous-part density at x > 0."""
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
+        if not np.all(x > 0.0):  # also refuses nan
             raise DomainError("density requires x > 0")
         one = self._one_m_rho
         s0, sigma, T, rho = (
@@ -200,9 +219,7 @@ class CevModel:
         call is a one-row block, equal to its array element bit for bit.
         A bad K raises DomainError in a 0-d call, gives NaN in an array."""
         shape, K = np.shape(K), np.asarray(K, dtype=float).ravel()
-        bad = ~((0.0 < K) & (K < math.inf))
-        if shape == () and bad[0]:
-            raise DomainError(f"{label} requires K > 0, got {K[0]}")
+        bad, error = positive_check(f"{label} strike", K)
         y = self._khat * np.where(bad, 1.0, K) ** (2.0 * self._one_m_rho)
         shape_w, w, shape_p, p = self._series
         out, step = np.empty(K.size), max(1, _BLOCK_SIZE // w.size)
@@ -212,8 +229,7 @@ class CevModel:
             if put:
                 first = np.sum(p * gammainc(shape_p, block), axis=-1)
                 out[rows] = K[rows] * (self.mass + out[rows]) - self.params.s0 * first
-        out[bad] = math.nan
-        return float(out[0]) if shape == () else out.reshape(shape)
+        return refuse(shape, out, [(bad, error)])
 
     def p_tilde(self, K):
         """Continuous-part CDF: integral of the density over (0, K]."""

@@ -1,9 +1,10 @@
 """Command-line front end: mass, smile, bounds, compare and mc reports.
 
-Configuration comes from an INI-style file with [model], [grid], [mc]
-and [output] sections; every value can be overridden on the command
-line by a flag of the same dotted name (e.g. --model.sigma=0.25).
-Output is CSV with a fixed column schema, or a minimal SVG overlay of
+Configuration comes from an INI-style file with [model], [grid] and
+[mc] sections; every value can be overridden on the command line by a
+flag of the same dotted name (e.g. --model.sigma=0.25), and an unknown
+key is a configuration error.  Output goes to stdout or --out, as CSV
+with a fixed column schema or (--format svg) a minimal SVG overlay of
 the normalized smile curves.  Exit codes: 0 success, 2 configuration
 error, 3 numerical failure.
 """
@@ -55,6 +56,12 @@ COLUMNS = [
     "err_three_term",
     "err_dmhj",
 ]
+
+# every key a configuration may set
+_KEYS = frozenset(
+    "model.type model.s0 model.sigma model.rho model.beta model.t model.epsilon model.m_t model.x0 "
+    "model.p_tilde_csv grid.k_min grid.k_max grid.n_points mc.n_paths mc.n_steps mc.seed mc.antithetic".split()
+)
 
 
 @dataclass
@@ -160,6 +167,9 @@ def _tabulated_p_tilde(path: str):
 
 
 def _build_config(args, settings: dict[str, str]) -> RunConfig:
+    unknown = sorted(settings.keys() - _KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     model_type = settings.get("model.type", "cev").strip().lower()
     epsilon = _get_float(settings, "model.epsilon", 0.01)
     try:
@@ -230,11 +240,6 @@ def _build_config(args, settings: dict[str, str]) -> RunConfig:
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
-    out_path = args.out or settings.get("output.path")
-    out_format = (args.format or settings.get("output.format", "csv")).lower()
-    if out_format not in ("csv", "svg"):
-        raise ConfigError(f"format must be csv or svg, got {out_format!r}")
-
     return RunConfig(
         market=market,
         atom=atom,
@@ -242,8 +247,8 @@ def _build_config(args, settings: dict[str, str]) -> RunConfig:
         bounds=bounds,
         k_grid=k_grid,
         mc=mc_config,
-        out_path=out_path,
-        out_format=out_format,
+        out_path=args.out,
+        out_format=args.format or "csv",
     )
 
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the input rules that
+raise them: each rule is stated here once and called by every public
+entry point it applies to."""
+
+import math
 
 
 class AtomvolError(Exception):
@@ -36,3 +40,37 @@ class QuadratureError(AtomvolError, RuntimeError):
 
 class ConfigError(AtomvolError, ValueError):
     """Invalid run configuration."""
+
+
+def positive(name: str, v):
+    """v, checked finite and > 0; DomainError otherwise, nan included."""
+    if not 0.0 < v < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {v}")
+    return v
+
+
+def positive_check(name: str, v):
+    """The rule of positive over a flat float array v, as a (mask, error) check for refuse."""
+    return ~((0.0 < v) & (v < math.inf)), lambda: positive(name, v[0])
+
+
+def unit(name: str, v):
+    """v, checked inside the open interval (0, 1): DomainBelowError at or
+    below 0, DomainAboveError at or above 1, DomainError for nan."""
+    if not 0.0 < v < 1.0:
+        error = DomainBelowError if v <= 0.0 else DomainAboveError if v >= 1.0 else DomainError
+        raise error(f"{name} must lie in (0, 1), got {v}")
+    return v
+
+
+def refuse(shape, out, checks):
+    """The flat array out in the caller's shape, NaN where the mask of a (mask,
+    error) check holds; a 0-d call (shape ()) raises the first such error."""
+    if shape == ():
+        for bad, error in checks:
+            if bad[0]:
+                raise error()
+        return float(out[0])
+    for bad, _ in checks:
+        out[bad] = math.nan
+    return out.reshape(shape)

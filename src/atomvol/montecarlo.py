@@ -34,7 +34,7 @@ from scipy.special import ndtri
 
 from atomvol.blackscholes import MarketSlice, OptionQuote, implied_vol
 from atomvol.cev import CevParams
-from atomvol.errors import DomainError, NoSolutionError
+from atomvol.errors import DomainError, NoSolutionError, positive
 
 __all__ = [
     "McConfig",
@@ -189,8 +189,7 @@ def simulate_terminals(
 
 def mc_put_price(sample: np.ndarray, K: float) -> tuple[float, float]:
     """Sample mean and standard error of the put payoff (K - S)^+."""
-    if not (K > 0.0 and math.isfinite(K)):
-        raise DomainError(f"strike must be positive, got {K}")
+    positive("strike", K)
     payoff = np.maximum(K - np.asarray(sample, dtype=float), 0.0)
     price = float(payoff.mean())
     if payoff.size > 1:

@@ -28,18 +28,21 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from atomvol.blackscholes import MarketSlice
 from atomvol.errors import (
     DomainAboveError,
     DomainBelowError,
     DomainError,
+    positive,
+    positive_check,
+    refuse,
+    unit,
 )
-from atomvol.specfun import norm_cdf, norm_cdf_inv
 
 __all__ = [
-    "AtomModel", "BoundsConfig", "u_k", "u_k_inv", "g_from_put",
+    "AtomModel", "BoundsConfig", "norm_cdf", "norm_cdf_inv", "u_k", "u_k_inv", "g_from_put",
     "smile_leading", "smile_three_term_atom", "smile_three_term_pT", "smile_three_term_G",
     "smile_sqrt_form", "smile_bounds", "smile_dmhj", "smile_grid",
     "estims_ratio", "sign_classify", "dmhj_psi_envelope",
@@ -52,36 +55,33 @@ _INV_TOL_X = 1e-13
 _INV_MAX_ITER = 200
 
 
-def _depth(L: float) -> float:
-    """The depth L = log K (for U_K) or log(x0/K) (for a strike), checked
-    finite and > 0; nan is refused as well."""
-    L = float(L)
-    if not 0.0 < L < math.inf:
-        raise DomainError(f"depth must be finite and > 0, got {L}")
-    return L
+def norm_cdf(x):
+    """Standard normal cumulative distribution function N(x).
+
+    Evaluated through the complementary error function; saturates at 0
+    and 1 in the extreme tails instead of raising.
+    """
+    return ndtr(x)
+
+
+def norm_cdf_inv(p: float) -> float:
+    """Inverse of the standard normal CDF.
+
+    Raises DomainBelowError / DomainAboveError outside the open unit
+    interval and DomainError for nan.  Round-trips through norm_cdf to
+    better than 1e-12 in p.
+    """
+    return float(ndtri(unit("norm_cdf_inv level", float(p))))
 
 
 def _flat(x, L):
     """x and L as flat float vectors of their broadcast shape, L with a
     stand-in 1 where it is no depth (so no NaN warnings arise), and the
-    depth check for _refuse."""
+    depth check for refuse."""
     x, L = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(L, dtype=float))
     shape, x, L = x.shape, x.ravel(), L.ravel()
-    bad = ~((0.0 < L) & (L < math.inf))
-    return shape, x, np.where(bad, 1.0, L), (bad, lambda: _depth(L[0]))
-
-
-def _refuse(shape, out, checks):
-    """out in the caller's shape, NaN where the mask of a (mask, error)
-    check holds; a 0-d call raises the error of the first such check."""
-    if shape == ():
-        for bad, error in checks:
-            if bad[0]:
-                raise error()
-        return float(out[0])
-    for bad, _ in checks:
-        out[bad] = math.nan
-    return out.reshape(shape)
+    bad, error = positive_check("depth", L)
+    return shape, x, np.where(bad, 1.0, L), (bad, error)
 
 
 def _u(x, scale):
@@ -99,7 +99,7 @@ def u_k(x, L):
     """
     shape, x, L, depth_check = _flat(x, L)
     nan_x = (np.isnan(x), lambda: DomainError("u_k requires a point, got nan"))
-    return _refuse(shape, _u(x, 2.0 * _SQRT_PI * np.sqrt(L)), [depth_check, nan_x])
+    return refuse(shape, _u(x, 2.0 * _SQRT_PI * np.sqrt(L)), [depth_check, nan_x])
 
 
 def _u_k_left_edge(L):
@@ -147,7 +147,7 @@ def u_k_inv(y, L):
         np.copyto(lo, mid, where=active & below)
         np.copyto(hi, mid, where=active > below)  # active and not below
         active &= hi - lo >= _INV_TOL_X
-    return _refuse(shape, np.where(at_edge, lo, 0.5 * (lo + hi)), checks)
+    return refuse(shape, np.where(at_edge, lo, 0.5 * (lo + hi)), checks)
 
 
 def g_from_put(put_evaluator: Callable[[float], float], K: float) -> float:
@@ -176,8 +176,7 @@ class AtomModel:
     put: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if not (0.0 < self.mass < 1.0):
-            raise DomainError(f"mass must lie in (0, 1), got {self.mass}")
+        unit("mass", self.mass)
 
     def p_total(self, u: float) -> float:
         """Full CDF mass + p_tilde(u); requires the p_tilde evaluator."""
@@ -194,15 +193,12 @@ class BoundsConfig:
     epsilon: float = 0.01
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < math.inf:
-            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
+        positive("epsilon", self.epsilon)
 
 
 def _wing_depth(market: MarketSlice, K: float) -> float:
     """L = log(x0/K) > 0 for a left-wing strike; refuses K >= x0."""
-    if not (K > 0.0 and math.isfinite(K)):
-        raise DomainError(f"strike must be positive, got {K}")
-    if K >= market.x0:
+    if positive("strike", K) >= market.x0:
         raise DomainError(
             f"wing formulas require K < x0 (asymptotics as K -> 0); "
             f"got K={K}, x0={market.x0}"
@@ -230,7 +226,7 @@ def smile_leading(market: MarketSlice, K, put_price):
     with np.errstate(all="ignore"):
         a, b = np.log(market.x0 / P), np.log(K / P)
         out = _SQRT2 / math.sqrt(market.T) * (np.sqrt(a) - np.sqrt(b))
-    return _refuse(shape, out, [
+    return refuse(shape, out, [
         (~((0.0 < K) & (K < market.x0)), lambda: _wing_depth(market, K[0])),
         (~((0.0 < P) & (P < K)), lambda: DomainError(f"put price must lie in (0, K), got {P[0]}")),
         (~((a > 0.0) & (b > 0.0)), lambda: DomainError("put price too large for the leading-order formula")),
@@ -251,9 +247,7 @@ def smile_three_term_atom(market: MarketSlice, K: float, mass: float) -> float:
     raises DomainBelowError, one at or above 1 DomainAboveError.
     """
     L = _wing_depth(market, K)
-    if mass <= 0.0:
-        raise DomainBelowError(f"mass must lie in (0, 1), got {mass}")
-    return _three_term(market.T, L, u_k_inv(mass, L))
+    return _three_term(market.T, L, u_k_inv(unit("mass", mass), L))
 
 
 def smile_three_term_pT(market: MarketSlice, K: float, model: AtomModel) -> float:
@@ -392,9 +386,8 @@ def estims_ratio(mass: float, L: float) -> float:
     Requires N(-sqrt(2L)) < mass when mass < 1/2 (the sufficient
     existence condition); below it DomainBelowError.
     """
-    if not (0.0 < mass < 1.0):
-        raise DomainError(f"mass must lie in (0, 1), got {mass}")
-    L = _depth(L)
+    unit("mass", mass)
+    L = positive("depth", float(L))
     if mass < 0.5 and norm_cdf(-math.sqrt(2.0 * L)) >= mass:
         raise DomainBelowError(
             f"existence condition fails: N(-sqrt(2*{L:.6g})) >= {mass}"
@@ -411,7 +404,7 @@ def sign_classify(mass: float, L: float) -> str:
     case the perturbed quantile and the plain normal quantile have
     opposite signs.
     """
-    L = _depth(L)
+    L = positive("depth", float(L))
     if not (0.0 < mass < 0.5):
         raise DomainError(
             f"trichotomy is stated for 0 < mass < 1/2, got {mass}"
@@ -438,9 +431,8 @@ def dmhj_psi_envelope(T: float, mass: float, L: float, psi_value: float) -> floa
     where psi(u) = G(u) - mass.  Reporting-only: its limsup statement is
     not assertable at finite depth.
     """
-    if not 0.0 < T < math.inf:
-        raise DomainError(f"requires finite T > 0, got {T}")
-    L = _depth(L)
+    positive("T", T)
+    L = positive("depth", float(L))
     if math.isnan(psi_value):
         raise DomainError("dmhj_psi_envelope requires psi, got nan")
     a = norm_cdf_inv(mass)

@@ -46,6 +46,12 @@ class TestParams:
         with pytest.raises(DomainError):
             CevModel(params)
 
+    def test_sigma_whose_square_underflows(self):
+        # sigma**2 rounds to 0, so the exponent scale 1/(2 T sigma^2 (1-rho)^2) has no value
+        params = CevParams(s0=0.05, sigma=1e-200, rho=0.6, T=1.2)
+        with pytest.raises(DomainError):
+            CevModel(params)
+
 
 class TestMass:
     def test_documented_parameter_set(self, printed_model):
@@ -111,6 +117,11 @@ class TestDensity:
             printed_model.density(0.0)
         with pytest.raises(DomainError):
             printed_model.density(-1.0)
+        for x in [math.nan, np.array([1e-3, math.nan])]:
+            with pytest.raises(DomainError):
+                printed_model.density(x)
+            with pytest.raises(DomainError):
+                printed_model.log_density(x)
 
 
 class TestSmallXConstant:

@@ -451,6 +451,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"config error: cannot write output {target}")
 
+    def test_underflowing_sigma_is_config_error(self, capsys, cev_config):
+        code, out, err = run_cli(capsys, ["smile", "--config", cev_config, "--model.sigma=1e-200"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: invalid CEV model")
+
+    @pytest.mark.parametrize("key", ["model.sigam", "output.format"])
+    def test_unknown_key_is_config_error(self, capsys, cev_config, key):
+        code, out, err = run_cli(capsys, ["smile", "--config", cev_config, f"--{key}=csv"])
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: unknown config key(s): {key}\n"
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, ["mass", "--config", "/nonexistent.ini"])
         assert code == 2

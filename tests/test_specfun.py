@@ -134,6 +134,9 @@ class TestRegIncGamma:
             reg_inc_gamma(0.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_gamma(1.0, -0.1)
+        for a, y in [(math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(DomainError):
+                reg_inc_gamma(a, y)
 
 
 class TestRegIncGammaUpper:
@@ -155,4 +158,7 @@ class TestRegIncGammaUpper:
             reg_inc_gamma_upper(0.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_gamma_upper(1.0, -0.1)
+        for a, y in [(math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(DomainError):
+                reg_inc_gamma_upper(a, y)
 
