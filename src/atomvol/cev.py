@@ -115,9 +115,13 @@ class CevModel:
         self.params = params
         s0, sigma, rho, T = params.s0, params.sigma, params.rho, params.T
         self._one_m_rho = 1.0 - rho
+        try:
+            sigma2 = sigma**2
+        except OverflowError:  # refused as an infinite scale below
+            sigma2 = math.inf
         # exponent scale 1/(2 T sigma^2 (1-rho)^2), refused at sigma = 0 and
-        # where sigma**2 underflows to 0, and Bessel order 1/(2(1-rho))
-        self._khat = 1.0 / positive("CEV scale 2 T sigma^2 (1-rho)^2", 2.0 * T * sigma**2 * self._one_m_rho**2)
+        # where sigma**2 underflows to 0 or overflows, and Bessel order 1/(2(1-rho))
+        self._khat = 1.0 / positive("CEV scale 2 T sigma^2 (1-rho)^2", 2.0 * T * sigma2 * self._one_m_rho**2)
         self.bessel_order = 1.0 / (2.0 * self._one_m_rho)
         self._u0 = s0 ** (2.0 * self._one_m_rho)
         self.gamma_args = (self.bessel_order, self._khat * self._u0)
@@ -126,7 +130,7 @@ class CevModel:
         # density prefactor c, kept in logs
         self._log_c = (
             0.5 * math.log(s0)
-            - math.log(T * sigma**2 * self._one_m_rho)
+            - math.log(T * sigma2 * self._one_m_rho)
             - self._khat * self._u0
         )
 

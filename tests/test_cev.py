@@ -52,6 +52,12 @@ class TestParams:
         with pytest.raises(DomainError):
             CevModel(params)
 
+    def test_sigma_whose_square_overflows(self):
+        # sigma**2 raises OverflowError; the scale is refused as infinite
+        params = CevParams(s0=0.05, sigma=1e200, rho=0.6, T=1.2)
+        with pytest.raises(DomainError, match="CEV scale"):
+            CevModel(params)
+
 
 class TestMass:
     def test_documented_parameter_set(self, printed_model):

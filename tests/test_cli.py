@@ -457,6 +457,13 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error: invalid CEV model")
 
+    def test_overflowing_sigma_is_config_error(self, capsys, cev_config):
+        # sigma**2 overflows the doubles, so the CEV scale is infinite
+        code, out, err = run_cli(capsys, ["smile", "--config", cev_config, "--model.sigma=1e200"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: invalid CEV model: CEV scale")
+
     @pytest.mark.parametrize("key", ["model.sigam", "output.format"])
     def test_unknown_key_is_config_error(self, capsys, cev_config, key):
         code, out, err = run_cli(capsys, ["smile", "--config", cev_config, f"--{key}=csv"])
@@ -558,14 +565,32 @@ class TestCachedParser:
 
 
 class TestImportCost:
-    def test_cli_import_skips_optimize_and_integrate(self):
-        # both packages are imported lazily, by implied_vol and the
-        # quadrature oracle; the CLI's own paths never need them
+    # the library never imports scipy.optimize, and imports scipy.integrate
+    # only for the quadrature cross-check of the CEV series
+    def _loaded_after(self, *lines):
         src = str(Path(__file__).resolve().parent.parent / "src")
-        probe = (
-            f"import sys; sys.path.insert(0, {src!r}); import atomvol.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
-        )
+        probe = "\n".join([
+            "import sys",
+            f"sys.path.insert(0, {src!r})",
+            *lines,
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))",
+        ])
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_cli_import_skips_optimize_and_integrate(self):
+        assert self._loaded_after("import atomvol.cli") == "[]"
+
+    def test_compare_and_mc_requests_skip_optimize_and_integrate(self, cev_config):
+        # both commands invert put prices to implied volatilities
+        mc = ["--mc.n_paths=2000", "--mc.n_steps=20", "--mc.seed=3"]
+        runs = [["compare", "--config", cev_config], ["mc", "--config", cev_config, *mc]]
+        loaded = self._loaded_after(
+            "import contextlib, io",
+            "from atomvol.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    codes = [main(argv) for argv in {runs!r}]",
+            "assert codes == [0, 0], codes",
+        )
+        assert loaded == "[]"
