@@ -82,7 +82,8 @@ def _log_otm_price(market: MarketSlice, strike: float, sigma: float) -> float:
     Both Gaussian tails enter through log_norm_cdf and the near-equal
     difference is taken with expm1, so the result keeps full relative
     accuracy even when the price itself is far below double underflow.
-    Returns -inf when the price underflows the expm1 step entirely.
+    Returns -inf when the price underflows: when both tails are -inf, or
+    when the expm1 step underflows entirely.
     """
     d1, d2 = d1_d2(market, strike, sigma)
     if strike <= market.x0:
@@ -93,6 +94,9 @@ def _log_otm_price(market: MarketSlice, strike: float, sigma: float) -> float:
         # call: x0 N(d1) - K N(d2)
         lead = math.log(market.x0) + log_norm_cdf(d1)
         other = math.log(strike) + log_norm_cdf(d2)
+    if lead == -math.inf:
+        # both tails underflow, and -inf - -inf would be nan
+        return -math.inf
     gap = other - lead
     if gap >= 0.0:
         return -math.inf

@@ -3,6 +3,7 @@ raise them: each rule is stated here once and called by every public
 entry point it applies to."""
 
 import math
+import operator
 
 
 class AtomvolError(Exception):
@@ -52,6 +53,17 @@ def positive(name: str, v):
 def positive_check(name: str, v):
     """The rule of positive over a flat float array v, as a (mask, error) check for refuse."""
     return ~((0.0 < v) & (v < math.inf)), lambda: positive(name, v[0])
+
+
+def integer(name: str, v):
+    """v as an int, checked to be an integer (a value operator.index takes,
+    bool excluded); DomainError otherwise, so 1.5 and nan never truncate."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {v!r}")
 
 
 def unit(name: str, v):

@@ -15,17 +15,32 @@ below 1 and every draw is finite.
 The Euler kernel does no index work and no allocation per step.  The
 SplitMix64 state of stream i at step s is seed + GOLDEN*(i*n_steps + 1
 + s) modulo 2^64, so each path's key seed + GOLDEN*(i*n_steps + 1) is
-computed once and a step adds the scalar GOLDEN*s.  The draws and the
-update run in place through buffers allocated once per chunk.  The
-update is applied to every path, absorbed or not, then clamped at 0:
-for rho in (0, 1), 0**rho = 0, and with a finite draw the increment of
-a path at 0 is 0, so it stays at 0.  The output is therefore
-bit-identical to stepping only the live paths.
+computed once and a step adds GOLDEN*s.  The draws are computed in step
+blocks: for the B = max(1, min(n_steps, 2^15 // n)) steps of a block of
+a chunk of n paths, the states form one (B, n) array, and the hash, the
+uniform and ndtri each run once over it.  The update then runs step by
+step through buffers allocated once per chunk.  It is applied to every
+path, absorbed or not, then clamped at 0: for rho in (0, 1), 0**rho =
+0, and with a finite draw the increment of a path at 0 is 0, so it
+stays at 0.  The output is therefore bit-identical to stepping only the
+live paths.
+
+A request's paths are cut into contiguous chunks, and the chunks into
+one contiguous run per CPU the process may run on, each stepped on its
+own thread.  Numpy ufuncs and ndtri release the interpreter lock while
+they run, and each call takes it back; computing the draws in blocks
+leaves the update's six calls per step, where one-step draws took about
+17, so the threads hand the lock over less often.  Each thread writes only
+its own paths, and every draw and every update is a per-path,
+elementwise computation, so the output is bit-identical for any number
+of threads and any chunk size.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,7 +49,7 @@ from scipy.special import ndtri
 
 from atomvol.blackscholes import MarketSlice, OptionQuote, implied_vol
 from atomvol.cev import CevParams
-from atomvol.errors import DomainError, NoSolutionError, positive
+from atomvol.errors import DomainError, NoSolutionError, integer, positive
 
 __all__ = [
     "McConfig",
@@ -51,6 +66,9 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 # largest double below 1: the uniform's ceiling, so that ndtri stays finite
 _U_MAX = 1.0 - 2.0**-53
+# elements of a chunk's draw block: the draws of up to _BLOCK // n_paths
+# steps are computed in one pass
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -63,6 +81,8 @@ class McConfig:
     antithetic: bool = False
 
     def __post_init__(self):
+        for name in ("n_paths", "n_steps", "seed"):
+            integer(name, getattr(self, name))
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_steps < 1:
@@ -95,17 +115,15 @@ def _counter_keys(seed: int, stream: np.ndarray, n_steps: int) -> np.ndarray:
         return seed_u + _GOLDEN * idx
 
 
-def _normals_into(
-    keys: np.ndarray, step: int, bits: np.ndarray, tmp: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """The counter normals of one step, written to out through caller buffers.
+def _normals_into(bits: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The counter normals of the SplitMix64 states in bits, written to out.
 
     out = ndtri of the 53-bit uniform built from Stafford's mix13
-    finalizer of keys + GOLDEN*step, held below 1; bits and tmp are
-    uint64 scratch of the same shape.  This is the one definition of
-    the draw.
+    finalizer of each state, held below 1.  bits (consumed) and tmp are
+    uint64 arrays of any one shape, out a float64 array of that shape;
+    the result is elementwise, so it is the same whatever the shape.
+    This is the one definition of the draw.
     """
-    np.add(keys, np.uint64((_GOLDEN_INT * step) % (1 << 64)), out=bits)
     for shift, mult in ((30, _MIX_1), (27, _MIX_2)):
         np.bitwise_xor(bits, np.right_shift(bits, shift, out=tmp), out=bits)
         np.multiply(bits, mult, out=bits)
@@ -126,41 +144,59 @@ def counter_normals(
     uniform built from SplitMix64 evaluated at index stream*n_steps+step.
     """
     keys = _counter_keys(seed, stream, n_steps)
-    return _normals_into(
-        keys, step, np.empty_like(keys), np.empty_like(keys), np.empty(keys.shape)
-    )
+    bits = keys + np.uint64((_GOLDEN_INT * step) % (1 << 64))
+    return _normals_into(bits, np.empty_like(bits), np.empty(bits.shape))
 
 
 def _euler_chunk(
-    params: CevParams, cfg: McConfig, paths: np.ndarray, sqdt: float, S: np.ndarray
+    params: CevParams, cfg: McConfig, start: int, stop: int, sqdt: float, S: np.ndarray
 ) -> None:
-    """Euler-step the given paths in S, which ends holding their terminal values.
+    """Euler-step paths start..stop-1 in S, which ends holding their terminal values.
 
-    Every step updates all the paths; absorbed ones sit at 0, where the
-    update keeps them.
+    The draws of a block of steps are computed together, then the
+    update runs step by step.  Every step updates all the paths;
+    absorbed ones sit at 0, where the update keeps them.
     """
+    paths = np.arange(start, stop, dtype=np.uint64)
     if cfg.antithetic:
         keys = _counter_keys(cfg.seed, paths >> np.uint64(1), cfg.n_steps)
         signs = np.where(paths & np.uint64(1), -1.0, 1.0)
     else:
         keys = _counter_keys(cfg.seed, paths, cfg.n_steps)
         signs = None
+    n = stop - start
+    block = max(1, min(cfg.n_steps, _BLOCK // n))
+    # GOLDEN*s modulo 2^64 for every step s: uint64 arithmetic wraps
+    offsets = (_GOLDEN * np.arange(cfg.n_steps, dtype=np.uint64))[:, None]
+    bits, tmp = np.empty((block, n), np.uint64), np.empty((block, n), np.uint64)
+    z = np.empty((block, n))
+    incr = np.empty_like(S)
     S.fill(params.s0)
-    bits, tmp = np.empty_like(keys), np.empty_like(keys)
-    z, incr = np.empty_like(S), np.empty_like(S)
-    for step in range(cfg.n_steps):
-        _normals_into(keys, step, bits, tmp, z)
+    for first in range(0, cfg.n_steps, block):
+        rows = min(block, cfg.n_steps - first)
+        zb = z[:rows]
+        np.add(keys, offsets[first:first + rows], out=bits[:rows])
+        _normals_into(bits[:rows], tmp[:rows], zb)
         if signs is not None:
-            z *= signs
-        # S + sigma * S**rho * sqdt * z, multiplied left to right as
-        # written so every rounding is the formula's; for rho in (0, 1),
-        # 0**rho = 0, so the update leaves 0 at 0
-        np.power(S, params.rho, out=incr)
-        incr *= params.sigma
-        incr *= sqdt
-        incr *= z
-        S += incr
-        np.maximum(S, 0.0, out=S)
+            zb *= signs
+        for zs in zb:
+            # S + sigma * S**rho * sqdt * z, multiplied left to right as
+            # written so every rounding is the formula's; for rho in (0, 1),
+            # 0**rho = 0, so the update leaves 0 at 0
+            np.power(S, params.rho, out=incr)
+            incr *= params.sigma
+            incr *= sqdt
+            incr *= zs
+            S += incr
+            np.maximum(S, 0.0, out=S)
+
+
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def simulate_terminals(
@@ -169,21 +205,36 @@ def simulate_terminals(
     """Terminal CEV values under Euler stepping with full absorption.
 
     A path is absorbed the first time its Euler update lands at or below
-    zero and stays at zero afterwards.  Each chunk is stepped with
-    hoisted counter keys and in-place draws, and with an update of all
-    its paths clamped at 0, which is absorbing for rho in (0, 1); see
-    the module docstring.  chunk_size only bounds memory: the kernel's
-    buffers are chunk-sized, and the output is bit-identical for any
-    value.
+    zero and stays at zero afterwards.  The paths are split into one
+    contiguous share per CPU the process may run on, each stepped on its
+    own thread; the caller's thread steps the first share.  An exception
+    raised in any share reaches the caller, and every thread has stopped
+    before the call returns or raises.  A thread steps its share in
+    chunks of at most chunk_size paths, with chunk-sized buffers, so
+    chunk_size bounds a thread's memory.  The output is bit-identical
+    for any chunk_size and any number of CPUs: each thread writes only
+    its own paths, and every draw and update is per path; see the
+    module docstring.
     """
     if chunk_size < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     sqdt = math.sqrt(params.T / cfg.n_steps)
     out = np.empty(cfg.n_paths, dtype=np.float64)
-    for start in range(0, cfg.n_paths, chunk_size):
-        stop = min(start + chunk_size, cfg.n_paths)
-        paths = np.arange(start, stop, dtype=np.uint64)
-        _euler_chunk(params, cfg, paths, sqdt, out[start:stop])
+    share = -(-cfg.n_paths // _worker_count())
+    starts = range(0, cfg.n_paths, share)
+
+    def run(start):
+        stop = min(start + share, cfg.n_paths)
+        for first in range(start, stop, chunk_size):
+            last = min(first + chunk_size, stop)
+            _euler_chunk(params, cfg, first, last, sqdt, out[first:last])
+
+    # threads start at submit, so a single share starts none
+    with ThreadPoolExecutor(max_workers=max(1, len(starts) - 1)) as pool:
+        futures = [pool.submit(run, start) for start in starts[1:]]
+        run(starts[0])
+        for future in futures:
+            future.result()
     return out
 
 

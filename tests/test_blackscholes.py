@@ -3,6 +3,7 @@ contract down to strikes twelve log-units below spot."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,16 @@ class TestImpliedVol:
             implied_vol(market, OptionQuote(0.5, "call", 1.0))  # at upper bound x0
         with pytest.raises(NoSolutionError):
             implied_vol(market, OptionQuote(0.9, "put", 0.0))
+
+    def test_both_tails_underflowing_is_no_solution_without_warning(self):
+        # at sigma*sqrt(T) ~ 1e-159 both log tails of the put are -inf;
+        # their difference was nan, with a numpy RuntimeWarning
+        market = MarketSlice(1.0, 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _log_otm_price(market, 0.5, 1e-9) == -math.inf
+            with pytest.raises(NoSolutionError):
+                implied_vol(market, OptionQuote(0.5, "put", 0.1))
 
     def test_scale_invariance(self):
         base = MarketSlice(x0=1.0, T=1.2)

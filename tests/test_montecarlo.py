@@ -4,6 +4,7 @@ quadrature oracle."""
 
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.special import ndtri
 
 from atomvol import CevParams, McConfig, mc_put_price, mc_smile, simulate_terminals
 from atomvol.errors import DomainError
+from atomvol import montecarlo
 from atomvol.montecarlo import counter_normals
 
 PRINTED = CevParams(s0=0.05, sigma=0.2, rho=0.6, T=1.2)
@@ -84,6 +86,18 @@ class TestConfig:
             McConfig(n_paths=0, n_steps=10, seed=1)
         with pytest.raises(DomainError):
             McConfig(n_paths=10, n_steps=0, seed=1)
+
+    @pytest.mark.parametrize("field", ["n_paths", "n_steps", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 10.0, math.nan, math.inf, True, "10", None])
+    def test_non_integer_is_refused(self, field, value):
+        # a float seed would be truncated, a float size fail inside numpy
+        kwargs = {"n_paths": 10, "n_steps": 4, "seed": 1, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            McConfig(**kwargs)
+
+    def test_integer_types_are_accepted(self):
+        cfg = McConfig(n_paths=np.int64(10), n_steps=np.uint32(4), seed=np.uint64(2**64 - 1))
+        assert simulate_terminals(PRINTED, cfg).shape == (10,)
 
 
 class TestCounterNormals:
@@ -171,6 +185,33 @@ class TestSimulate:
         whole = simulate_terminals(params, cfg, chunk_size=n_paths)
         assert whole.tobytes() == simulate_terminals(params, cfg, chunk_size=chunk_size).tobytes()
         assert whole.tobytes() == _reference_terminals(params, cfg).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("chunk_size", [1, 173, None])
+    def test_worker_count_invariance(self, monkeypatch, workers, antithetic, chunk_size):
+        # 349 paths: the chunks of 1 and of 173 and the shares of 175 and
+        # 117 paths of 2 and 3 workers all have odd sizes, so every chunk
+        # boundary cuts an antithetic pair, and the last path is unpaired
+        cfg = McConfig(n_paths=349, n_steps=19, seed=11, antithetic=antithetic)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        out = simulate_terminals(ABSORBING, cfg, chunk_size=chunk_size or cfg.n_paths)
+        assert out.tobytes() == _reference_terminals(ABSORBING, cfg).tobytes()
+
+    def test_error_in_a_worker_chunk_reaches_the_caller(self, monkeypatch):
+        euler_chunk = montecarlo._euler_chunk
+
+        def failing(params, cfg, start, stop, sqdt, S):
+            if start >= 200:
+                raise RuntimeError("chunk failed")
+            euler_chunk(params, cfg, start, stop, sqdt, S)
+
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_euler_chunk", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            simulate_terminals(PRINTED, McConfig(n_paths=300, n_steps=5, seed=1))
+        assert threading.active_count() == before
 
     def test_top_value_draw_keeps_paths_finite(self):
         # the antithetic pair's path 1 absorbs at step 0; at step 1 path 0
