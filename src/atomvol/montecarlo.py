@@ -14,12 +14,19 @@ below 1 and every draw is finite.
 
 The Euler kernel does no index work and no allocation per step.  The
 SplitMix64 state of stream i at step s is seed + GOLDEN*(i*n_steps + 1
-+ s) modulo 2^64, so each path's key seed + GOLDEN*(i*n_steps + 1) is
-computed once and a step adds GOLDEN*s.  The draws are computed in step
-blocks: for the B = max(1, min(n_steps, 2^15 // n)) steps of a block of
-a chunk of n paths, the states form one (B, n) array, and the hash, the
-uniform and ndtri each run once over it.  The update then runs step by
-step through buffers allocated once per chunk.  It is applied to every
++ s) modulo 2^64, so each stream's key seed + GOLDEN*(i*n_steps + 1) is
+computed once and a step adds GOLDEN*s.  Path p reads stream p, or under
+antithetic pairing stream p >> 1 with the sign + for even p and - for
+odd p, so the two paths of a pair read one stream with opposite signs.
+The draws are computed in step blocks: for the B = max(1, min(n_steps,
+2^15 // n)) steps of a block of a chunk of n paths, the states of the
+chunk's m distinct streams (m = n, or about n/2 under antithetic
+pairing) form one (B, m) array, and the hash, the uniform and ndtri
+each run once over it.  Under antithetic pairing each draw is then
+written to its even path and its negative to its odd path; negation is
+exact, so a pair cut by a chunk boundary draws its stream in both
+chunks and gets the same bits.  The update then runs step by step
+through buffers allocated once per chunk.  It is applied to every
 path, absorbed or not, then clamped at 0: for rho in (0, 1), 0**rho =
 0, and with a finite draw the increment of a path at 0 is 0, so it
 stays at 0.  The output is therefore bit-identical to stepping only the
@@ -34,6 +41,10 @@ leaves the update's six calls per step, where one-step draws took about
 its own paths, and every draw and every update is a per-path,
 elementwise computation, so the output is bit-identical for any number
 of threads and any chunk size.
+
+mc_smile prices every strike of its grid from the one terminal sample,
+in one payoff buffer allocated per call; mc_put_price is the one-strike
+case of the same pricing, so the two give the same bits.
 """
 
 from __future__ import annotations
@@ -142,7 +153,25 @@ def counter_normals(
 
     Pure function of (seed, stream, step): draw = ndtri of the 53-bit
     uniform built from SplitMix64 evaluated at index stream*n_steps+step.
+    Arguments that would read another stream's draws raise DomainError:
+    a non-integer seed, step or n_steps, n_steps < 1, a step outside
+    [0, n_steps), or a stream array that is not of integer type or holds
+    a value below 0 or one whose indices pass 2^64 and wrap.
     """
+    seed, step, n_steps = integer("seed", seed), integer("step", step), integer("n_steps", n_steps)
+    if n_steps < 1:
+        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+    if not 0 <= step < n_steps:
+        raise DomainError(f"step must lie in [0, {n_steps}), got {step}")
+    stream = np.asarray(stream)
+    if stream.dtype.kind not in "iu":
+        raise DomainError(f"stream must hold integers, got dtype {stream.dtype}")
+    if stream.dtype.kind == "i" and np.any(stream < 0):
+        raise DomainError("stream must hold no negative value")
+    # the indices stream*n_steps + 1 + step stay distinct modulo 2^64 while
+    # the last, stream*n_steps + n_steps, is at most 2^64 (index 0 is unused)
+    if stream.size and int(stream.max()) > (1 << 64) // n_steps - 1:
+        raise DomainError(f"stream must be at most 2^64 // n_steps - 1, got {int(stream.max())}")
     keys = _counter_keys(seed, stream, n_steps)
     bits = keys + np.uint64((_GOLDEN_INT * step) % (1 << 64))
     return _normals_into(bits, np.empty_like(bits), np.empty(bits.shape))
@@ -153,33 +182,40 @@ def _euler_chunk(
 ) -> None:
     """Euler-step paths start..stop-1 in S, which ends holding their terminal values.
 
-    The draws of a block of steps are computed together, then the
-    update runs step by step.  Every step updates all the paths;
-    absorbed ones sit at 0, where the update keeps them.
+    The draws of a block of steps are computed together, once per
+    distinct stream, then the update runs step by step.  Every step
+    updates all the paths; absorbed ones sit at 0, where the update
+    keeps them.
     """
-    paths = np.arange(start, stop, dtype=np.uint64)
-    if cfg.antithetic:
-        keys = _counter_keys(cfg.seed, paths >> np.uint64(1), cfg.n_steps)
-        signs = np.where(paths & np.uint64(1), -1.0, 1.0)
-    else:
-        keys = _counter_keys(cfg.seed, paths, cfg.n_steps)
-        signs = None
     n = stop - start
+    if cfg.antithetic:
+        # paths start..stop-1 read streams start>>1..(stop-1)>>1; path p
+        # sits in column p - 2*(start>>1) of the expanded draws
+        first_stream, lead = start >> 1, start & 1
+        m = ((stop - 1) >> 1) - first_stream + 1
+    else:
+        first_stream, lead, m = start, 0, n
+    streams = np.arange(first_stream, first_stream + m, dtype=np.uint64)
+    keys = _counter_keys(cfg.seed, streams, cfg.n_steps)
     block = max(1, min(cfg.n_steps, _BLOCK // n))
     # GOLDEN*s modulo 2^64 for every step s: uint64 arithmetic wraps
     offsets = (_GOLDEN * np.arange(cfg.n_steps, dtype=np.uint64))[:, None]
-    bits, tmp = np.empty((block, n), np.uint64), np.empty((block, n), np.uint64)
-    z = np.empty((block, n))
+    bits, tmp = np.empty((block, m), np.uint64), np.empty((block, m), np.uint64)
+    if cfg.antithetic:
+        # each stream's draw in the even column, its negative in the odd one
+        z = np.empty((block, 2 * m))
+        draws = z[:, 0::2]
+    else:
+        z = draws = np.empty((block, n))
     incr = np.empty_like(S)
     S.fill(params.s0)
     for first in range(0, cfg.n_steps, block):
         rows = min(block, cfg.n_steps - first)
-        zb = z[:rows]
         np.add(keys, offsets[first:first + rows], out=bits[:rows])
-        _normals_into(bits[:rows], tmp[:rows], zb)
-        if signs is not None:
-            zb *= signs
-        for zs in zb:
+        _normals_into(bits[:rows], tmp[:rows], draws[:rows])
+        if cfg.antithetic:
+            np.negative(draws[:rows], out=z[:rows, 1::2])
+        for zs in z[:rows, lead:lead + n]:
             # S + sigma * S**rho * sqdt * z, multiplied left to right as
             # written so every rounding is the formula's; for rho in (0, 1),
             # 0**rho = 0, so the update leaves 0 at 0
@@ -216,7 +252,7 @@ def simulate_terminals(
     its own paths, and every draw and update is per path; see the
     module docstring.
     """
-    if chunk_size < 1:
+    if integer("chunk_size", chunk_size) < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     sqdt = math.sqrt(params.T / cfg.n_steps)
     out = np.empty(cfg.n_paths, dtype=np.float64)
@@ -238,16 +274,42 @@ def simulate_terminals(
     return out
 
 
-def mc_put_price(sample: np.ndarray, K: float) -> tuple[float, float]:
-    """Sample mean and standard error of the put payoff (K - S)^+."""
-    positive("strike", K)
-    payoff = np.maximum(K - np.asarray(sample, dtype=float), 0.0)
-    price = float(payoff.mean())
-    if payoff.size > 1:
-        std_err = float(payoff.std(ddof=1) / math.sqrt(payoff.size))
-    else:
+def _put_prices(sample: np.ndarray, strikes: Sequence[float]) -> list[tuple[float, float]]:
+    """(price, std_err) of the put payoff (K - S)^+ for each strike K.
+
+    Every strike is priced in one payoff buffer the size of sample,
+    allocated once per call.  The mean and the standard error are those
+    of payoff.mean() and payoff.std(ddof=1) / sqrt(n), bit for bit: the
+    same sums over the same elements, with the deviations squared in the
+    buffer in place of numpy's temporary.
+    """
+    n = sample.size
+    buf = np.empty_like(sample)
+    prices = []
+    for K in strikes:
+        positive("strike", K)
+        np.subtract(K, sample, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        price = float(buf.mean())
         std_err = 0.0
-    return price, std_err
+        if n > 1:
+            np.subtract(buf, price, out=buf)
+            np.multiply(buf, buf, out=buf)
+            std_err = math.sqrt(float(buf.sum()) / (n - 1)) / math.sqrt(n)
+        prices.append((price, std_err))
+    return prices
+
+
+def mc_put_price(sample: np.ndarray, K: float) -> tuple[float, float]:
+    """Sample mean and standard error of the put payoff (K - S)^+.
+
+    The one-strike case of the grid pricing mc_smile uses, so both give
+    the same bits.  An empty sample raises DomainError.
+    """
+    sample = np.asarray(sample, dtype=float)
+    if sample.size == 0:
+        raise DomainError("mc_put_price needs a non-empty sample")
+    return _put_prices(sample, [K])[0]
 
 
 def mc_smile(
@@ -255,7 +317,8 @@ def mc_smile(
 ) -> list[McSmileEstimate]:
     """Normalized Monte Carlo smile k -> iv(k) * sqrt(T) / |k| on the left wing.
 
-    One terminal sample serves the whole grid.  Strikes are K = s0*e^k
+    One terminal sample serves the whole grid, and one payoff buffer
+    prices every strike (see _put_prices).  Strikes are K = s0*e^k
     with k < 0; put prices outside (0, K) yield undefined entries.
     """
     k_grid = [float(k) for k in k_grid]
@@ -265,10 +328,9 @@ def mc_smile(
     n_absorbed = int(np.count_nonzero(sample == 0.0))
     market = MarketSlice(x0=params.s0, T=params.T)
     sqT = math.sqrt(params.T)
+    strikes = [params.s0 * math.exp(k) for k in k_grid]
     estimates = []
-    for k in k_grid:
-        K = params.s0 * math.exp(k)
-        price, std_err = mc_put_price(sample, K)
+    for k, K, (price, std_err) in zip(k_grid, strikes, _put_prices(sample, strikes)):
         normalized = None
         if 0.0 < price < K:
             try:

@@ -5,6 +5,7 @@ quadrature oracle."""
 import hashlib
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,33 @@ class TestCounterNormals:
         z = counter_normals(TOP_DRAW_SEED, np.arange(1), 1, 2)
         assert z[0] == ndtri(1.0 - 2.0**-53)
 
+    @pytest.mark.parametrize(
+        "seed, stream, step, n_steps",
+        [
+            (5, [0, 1], 4, 4),  # step n_steps is step 0 of the next stream
+            (5, [0, 1], -1, 4),
+            (5, [0, 1], 0, 0),
+            (5, [0, 1], 0, -3),
+            (1.5, [0, 1], 0, 4),
+            (5, [0, 1], 2.0, 4),
+            (5, [0, 1], 0, 4.5),
+            (5, [-1, 0], 0, 4),  # wraps to stream 2^64 - 1
+            (5, np.array([0, 2**62], dtype=np.uint64), 0, 4),  # index 2^64 + 1 wraps to stream 0
+            (5, np.array([0.0, 1.5]), 0, 4),
+            (5, np.array([True, False]), 0, 4),
+        ],
+    )
+    def test_aliasing_arguments_are_refused(self, seed, stream, step, n_steps):
+        with pytest.raises(DomainError):
+            counter_normals(seed, stream, step, n_steps)
+
+    def test_last_step_and_unsigned_streams_are_accepted(self):
+        z = counter_normals(np.int64(5), np.arange(4, dtype=np.uint32), np.uint8(3), 4)
+        assert np.array_equal(z, counter_normals(5, [0, 1, 2, 3], 3, 4))
+        # the last stream at 4 steps: its last index, 2^64, wraps to the unused 0
+        last = np.array([2**62 - 1], dtype=np.uint64)
+        assert np.isfinite(counter_normals(5, last, 3, 4)).all()
+
     def test_moments_are_standard_normal(self):
         streams = np.arange(200_000, dtype=np.uint64)
         z = counter_normals(123, streams, 0, 1)
@@ -197,6 +225,47 @@ class TestSimulate:
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         out = simulate_terminals(ABSORBING, cfg, chunk_size=chunk_size or cfg.n_paths)
         assert out.tobytes() == _reference_terminals(ABSORBING, cfg).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("chunk_size", [1, 173])
+    def test_each_stream_is_drawn_once_per_chunk(
+        self, monkeypatch, workers, antithetic, chunk_size
+    ):
+        # an antithetic pair shares one stream: a chunk draws each of its
+        # distinct streams once a step, not once per path; the output of
+        # these runs is checked by test_worker_count_invariance
+        cfg = McConfig(n_paths=349, n_steps=19, seed=11, antithetic=antithetic)
+        euler_chunk, normals_into = montecarlo._euler_chunk, montecarlo._normals_into
+        chunks, draws = [], []
+
+        def recording_chunk(params, cfg, start, stop, sqdt, S):
+            chunks.append((start, stop))
+            euler_chunk(params, cfg, start, stop, sqdt, S)
+
+        def counting_normals(bits, tmp, out):
+            draws.append(bits.size)
+            return normals_into(bits, tmp, out)
+
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        monkeypatch.setattr(montecarlo, "_euler_chunk", recording_chunk)
+        monkeypatch.setattr(montecarlo, "_normals_into", counting_normals)
+        simulate_terminals(ABSORBING, cfg, chunk_size=chunk_size)
+        chunks.sort()
+        assert [start for start, _ in chunks] == [0, *(stop for _, stop in chunks[:-1])]
+        assert chunks[-1][1] == cfg.n_paths
+        if antithetic:
+            streams = sum(((stop - 1) >> 1) - (start >> 1) + 1 for start, stop in chunks)
+        else:
+            streams = cfg.n_paths
+        assert sum(draws) == streams * cfg.n_steps
+
+    @pytest.mark.parametrize("chunk_size", [2.5, math.nan, True, "10", None])
+    def test_non_integer_chunk_size_is_refused(self, chunk_size):
+        # 2.5 and nan failed inside range() with a TypeError, True ran as 1
+        cfg = McConfig(n_paths=10, n_steps=4, seed=1)
+        with pytest.raises(DomainError, match="chunk_size must be an integer"):
+            simulate_terminals(PRINTED, cfg, chunk_size=chunk_size)
 
     def test_error_in_a_worker_chunk_reaches_the_caller(self, monkeypatch):
         euler_chunk = montecarlo._euler_chunk
@@ -279,6 +348,32 @@ class TestPutPrice:
     def test_domain(self):
         with pytest.raises(DomainError):
             mc_put_price(np.array([1.0]), 0.0)
+
+    def test_empty_sample_is_refused(self):
+        # the mean of no payoffs was nan, with two RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-empty sample"):
+                mc_put_price(np.array([]), 0.05)
+
+    def test_grid_buffer_matches_fresh_calls(self):
+        # halved vol: no path absorbs, so a strike can sit below every path
+        params = CevParams(s0=0.05, sigma=0.1, rho=0.6, T=1.2)
+        cfg = McConfig(n_paths=40_000, n_steps=16, seed=21)
+        grid = [-3.0, -1.0, -0.25]
+        sample = simulate_terminals(params, cfg)
+        strikes = [0.5 * sample.min(), *(0.05 * math.exp(k) for k in grid), 2.0 * sample.max()]
+        fresh = [mc_put_price(sample, K) for K in strikes]
+        assert montecarlo._put_prices(sample, strikes) == fresh
+        assert fresh[0] == (0.0, 0.0)
+        for K, (price, std_err) in zip(strikes, fresh):
+            # bit for bit the payoff array's own mean and std(ddof=1)
+            payoff = np.maximum(K - sample, 0.0)
+            assert price == float(payoff.mean())
+            assert std_err == float(payoff.std(ddof=1) / math.sqrt(payoff.size))
+        # mc_smile prices its grid in one buffer from the same sample
+        estimates = mc_smile(params, cfg, grid)
+        assert [est.std_err for est in estimates] == [se for _, se in fresh[1:-1]]
 
 
 class TestMcSmile:

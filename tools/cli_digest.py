@@ -13,7 +13,11 @@ The requests are the perfbench request sets, built by
 perfbench/workloads.py (read, not edited): oracle_grid, atom_wing and
 mc_smile at seeds 1-3, 8 blocks each, with every mc request's path count
 cut 100-fold so that the run takes seconds, and the hard slices at the
-same seeds.  Then come the command lines of tests/test_cli.py on its
+same seeds.  Six mc_smile requests of seed 1 then run uncut (about
+0.6 s): in each n_steps tercile (64-127, 128-255, 256-512) the first
+with antithetic pairs and the first without, so that the digests also
+cover full-size samples and the chunk and thread-share boundaries they
+cut.  Then come the command lines of tests/test_cli.py on its
 CEV_CONFIG and ATOM_CONFIG.  Each request runs through
 atomvol.cli.main in this process, in a fresh temporary directory that
 holds every file it reads under a relative name, so no output depends
@@ -107,7 +111,20 @@ def _perfbench_runs(workloads) -> list[tuple[str, list[str]]]:
         reqs = workloads.hard_slice(seed, rid0=0)
         workloads.write(reqs, Path(f"hard-{seed}"))
         runs += [(f"hard/{seed}/{req.rid}", req.argv()) for req in reqs]
-    return runs
+    return runs + _uncut_mc_runs(workloads)
+
+
+def _uncut_mc_runs(workloads) -> list[tuple[str, list[str]]]:
+    """The first full-size mc_smile request of seed 1 in each (n_steps
+    tercile, antithetic) cell, written under their own directory."""
+    cells = {}
+    for req in (req for block in workloads.generate("mc_smile", SEEDS[0], BLOCKS) for req in block):
+        mc = req.sections["mc"]
+        tercile = sum(int(mc["n_steps"]) >= edge for edge in (128, 256))
+        cells.setdefault((tercile, mc["antithetic"]), req)
+    reqs = [cells[cell] for cell in sorted(cells)]
+    workloads.write(reqs, Path("mc_smile-uncut"))
+    return [(f"mc_smile/uncut/{req.rid}", req.argv()) for req in reqs]
 
 
 def _call(main, argv: list[str]) -> tuple[int, str, str]:
