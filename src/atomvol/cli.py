@@ -3,10 +3,12 @@
 Configuration comes from an INI-style file with [model], [grid] and
 [mc] sections; every value can be overridden on the command line by a
 flag of the same dotted name (e.g. --model.sigma=0.25), and an unknown
-key is a configuration error.  Output goes to stdout or --out, as CSV
-with a fixed column schema or (--format svg) a minimal SVG overlay of
-the normalized smile curves.  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
+key is a configuration error.  A table command builds one column table,
+a dict holding one float array over the strike grid per CSV column (NaN
+where a cell is undefined), and writes it to stdout or --out as CSV with
+a fixed column schema (undefined cells empty) or (--format svg) as a
+minimal SVG overlay of the normalized smile curves.  Exit codes: 0
+success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import configparser
 import csv
 import functools
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -67,7 +68,7 @@ _KEYS = frozenset(
 @dataclass
 class RunConfig:
     market: MarketSlice
-    atom: AtomModel
+    atom: Optional[AtomModel]  # None for mc
     cev_model: Optional[CevModel]
     bounds: BoundsConfig
     k_grid: Optional[list[float]]
@@ -190,7 +191,9 @@ def _build_config(args, settings: dict[str, str]) -> RunConfig:
         except DomainError as exc:
             raise ConfigError(f"invalid CEV model: {exc}") from exc
         market = cev_model.market()
-        atom = cev_model.atom_model()
+        # mc reads no mass, so it runs on where the mass underflows to 0
+        # and the atom model rejects it
+        atom = None if args.command == "mc" else cev_model.atom_model()
     elif model_type == "atom":
         m_t = _get_float(settings, "model.m_t")
         T = _get_float(settings, "model.t")
@@ -253,7 +256,7 @@ def _build_config(args, settings: dict[str, str]) -> RunConfig:
 
 
 # ----------------------------------------------------------------------
-# row assembly
+# table assembly
 # ----------------------------------------------------------------------
 # the column groups each table command fills besides k and K; mc fills
 # its own columns from one simulation over the whole grid
@@ -265,7 +268,10 @@ _COLUMN_GROUPS = {
 }
 
 
-def _rows_for_command(command: str, cfg: RunConfig) -> list[dict]:
+def _table_for_command(command: str, cfg: RunConfig) -> dict[str, np.ndarray]:
+    """One float array over the strikes per COLUMNS name, NaN where a cell
+    is undefined at its strike; with a put model also the unprinted "put"
+    prices that fed leading and G, which the exact smile inverts."""
     if cfg.k_grid is None:
         raise ConfigError(f"{command} requires a [grid] section")
     if command == "compare" and cfg.cev_model is None:
@@ -278,56 +284,44 @@ def _rows_for_command(command: str, cfg: RunConfig) -> list[dict]:
 
     groups = _COLUMN_GROUPS[command]
     strikes = [cfg.market.x0 * math.exp(k) for k in cfg.k_grid]
-    # a cell left NaN is undefined at its strike and prints empty
-    rows = [dict.fromkeys(COLUMNS, math.nan) | {"k": k, "K": K} for k, K in zip(cfg.k_grid, strikes)]
+    table = {name: np.full(len(strikes), math.nan) for name in COLUMNS}
+    table["k"], table["K"] = np.array(cfg.k_grid), np.array(strikes)
     if groups:
-        # with a put model the rows also carry, unprinted, the "put" prices
-        # that fed leading and G; the exact smile inverts those
-        for name, values in smile_grid(cfg.market, strikes, cfg.atom, groups, cfg.bounds).items():
-            for cells, value in zip(rows, values.tolist()):
-                cells[name] = value
+        table |= smile_grid(cfg.market, strikes, cfg.atom, groups, cfg.bounds)
     if "exact" in groups:
-        for cells in rows:
-            cells["exact_iv"] = exact = cfg.cev_model.put_implied_vol(cells["K"], cells["put"])
-            cells["err_three_term"] = abs(cells["three_term_atom"] - exact)
-            cells["err_dmhj"] = abs(cells["dmhj"] - exact)
+        exact = table["exact_iv"] = np.array(
+            [cfg.cev_model.put_implied_vol(K, put) for K, put in zip(strikes, table["put"].tolist())]
+        )
+        table["err_three_term"] = np.abs(table["three_term_atom"] - exact)
+        table["err_dmhj"] = np.abs(table["dmhj"] - exact)
     if not with_mc:
-        return rows
+        return table
 
     estimates = mc_smile(cfg.cev_model.params, cfg.mc, cfg.k_grid)
     sqT = math.sqrt(cfg.market.T)
-    for cells, est in zip(rows, estimates):
+    for i, (K, est) in enumerate(zip(strikes, estimates)):
         if est.normalized_iv is not None:
-            iv = est.normalized_iv * abs(est.k) / sqT
-            cells["mc_iv"] = iv
-            cells["mc_se"] = est.std_err / vega(cfg.market, cells["K"], iv)
+            iv = table["mc_iv"][i] = est.normalized_iv * abs(est.k) / sqT
+            table["mc_se"][i] = est.std_err / vega(cfg.market, K, iv)
     if command == "mc":
-        absorbed = estimates[0].n_absorbed if estimates else 0
+        absorbed = estimates[0].n_absorbed
         print(
             f"absorbed_fraction = {absorbed / cfg.mc.n_paths:.17g} "
             f"({absorbed} of {cfg.mc.n_paths} paths)",
             file=sys.stderr,
         )
-    return rows
+    return table
 
 
 # ----------------------------------------------------------------------
 # emission
 # ----------------------------------------------------------------------
-def _format_cell(value) -> str:
-    # undefined cells stay empty; never NaN text
-    if not math.isfinite(value):
-        return ""
-    return f"{value:.17g}"
-
-
-def _emit_csv(rows: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    for cells in rows:
-        writer.writerow([_format_cell(cells[name]) for name in COLUMNS])
-    return buffer.getvalue()
+def _emit_csv(table: dict[str, np.ndarray]) -> str:
+    # each column formatted once; undefined cells stay empty, never NaN text
+    columns = [
+        [format(v, ".17g") if math.isfinite(v) else "" for v in table[name].tolist()] for name in COLUMNS
+    ]
+    return "\n".join([",".join(COLUMNS), *map(",".join, zip(*columns))]) + "\n"
 
 
 _SVG_STYLE = {
@@ -341,16 +335,14 @@ _SVG_STYLE = {
 }
 
 
-def _emit_svg(rows: list[dict], cfg: RunConfig, command: str) -> str:
+def _emit_svg(table: dict[str, np.ndarray], cfg: RunConfig, command: str) -> str:
     sqT = math.sqrt(cfg.market.T)
     series = []
     for name, (label, color, dashed, markers) in _SVG_STYLE.items():
-        pts = tuple(
-            (cells["k"], cells[name] * sqT / abs(cells["k"]))
-            for cells in rows
-            if math.isfinite(cells[name]) and cells["k"] != 0.0
-        )
-        if pts:
+        defined = np.isfinite(table[name])
+        if defined.any():
+            k = table["k"][defined]
+            pts = tuple(zip(k.tolist(), (table[name][defined] * sqT / np.abs(k)).tolist()))
             series.append(
                 Series(label=label, color=color, points=pts, dashed=dashed, markers=markers)
             )
@@ -387,11 +379,11 @@ def _cmd_mass(cfg: RunConfig) -> None:
 
 
 def _cmd_table(command: str, cfg: RunConfig) -> None:
-    rows = _rows_for_command(command, cfg)
+    table = _table_for_command(command, cfg)
     if cfg.out_format == "svg":
-        _write_output(_emit_svg(rows, cfg, command), cfg)
+        _write_output(_emit_svg(table, cfg, command), cfg)
     else:
-        _write_output(_emit_csv(rows), cfg)
+        _write_output(_emit_csv(table), cfg)
 
 
 @functools.cache

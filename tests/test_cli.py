@@ -23,7 +23,7 @@ from atomvol import (
     smile_three_term_pT,
 )
 from atomvol.cev import CevModel, CevParams
-from atomvol.cli import COLUMNS, main
+from atomvol.cli import COLUMNS, _emit_csv, main
 from atomvol.errors import DomainError
 
 CEV_CONFIG = """\
@@ -399,6 +399,39 @@ class TestMc:
         code, _, err = run_cli(capsys, ["mc", "--config", cev_config])
         assert code == 2
 
+    def test_underflowing_mass_does_not_stop_mc(self, capsys, cev_config):
+        # at sigma 0.015 the mass rounds to 0 (test_numerical_failure_exit_code),
+        # but the simulation reads no mass
+        code, out, err = run_cli(
+            capsys,
+            ["mc", "--config", cev_config, "--model.sigma=0.015",
+             "--mc.n_paths=4000", "--mc.n_steps=40", "--mc.seed=11"],
+        )
+        assert code == 0
+        assert err == "absorbed_fraction = 0 (0 of 4000 paths)\n"
+        header, rows = parse_csv(out)
+        assert header == COLUMNS
+        assert len(rows) == 5
+
+    @pytest.mark.parametrize("command", ["mass", "smile", "bounds", "compare"])
+    def test_underflowing_mass_stops_the_other_commands(self, capsys, cev_config, command):
+        code, out, err = run_cli(capsys, [command, "--config", cev_config, "--model.sigma=0.015"])
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: mass must lie in (0, 1), got 0.0\n"
+
+
+class TestEmitCsv:
+    def test_matches_csv_writer_reference(self):
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        # each value in every column, then a row of empty cells; "put" is not printed
+        table = {name: np.array([*np.roll(values, i), math.nan]) for i, name in enumerate([*COLUMNS, "put"])}
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(COLUMNS)
+        for row in zip(*(table[name].tolist() for name in COLUMNS)):
+            writer.writerow([f"{v:.17g}" if math.isfinite(v) else "" for v in row])
+        assert _emit_csv(table) == reference.getvalue()
+
 
 class TestSvg:
     def test_well_formed_and_has_curves(self, capsys, cev_config, tmp_path):
@@ -413,6 +446,19 @@ class TestSvg:
         assert root.tag.endswith("svg")
         assert "polyline" in doc
         assert 'version="1.1"' in doc
+
+    def test_mc_draws_monte_carlo_markers(self, capsys, cev_config):
+        code, out, _ = run_cli(
+            capsys,
+            ["mc", "--config", cev_config, "--format", "svg",
+             "--mc.n_paths=4000", "--mc.n_steps=40", "--mc.seed=11"],
+        )
+        assert code == 0
+        root = ET.fromstring(out)
+        assert root.tag.endswith("svg")
+        assert "monte carlo" in [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
+        # one marker per strike of the 5-point grid, plus the legend's
+        assert len(list(root.iter("{http://www.w3.org/2000/svg}circle"))) == 6
 
 
 class TestExitCodes:

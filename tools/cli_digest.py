@@ -18,7 +18,8 @@ same seeds.  Six mc_smile requests of seed 1 then run uncut (about
 with antithetic pairs and the first without, so that the digests also
 cover full-size samples and the chunk and thread-share boundaries they
 cut.  Then come the command lines of tests/test_cli.py on its
-CEV_CONFIG and ATOM_CONFIG.  Each request runs through
+CEV_CONFIG and ATOM_CONFIG, and two SVG requests (mc and compare with
+[mc]) that draw the Monte Carlo series.  Each request runs through
 atomvol.cli.main in this process, in a fresh temporary directory that
 holds every file it reads under a relative name, so no output depends
 on where the run took place.
@@ -91,6 +92,7 @@ def _test_runs(workloads) -> list[list[str]]:
         ["smile", *C, "--out", "no_such_dir/x.csv"], ["mass", "--config", "nonexistent.ini"],
         ["mass", *C, "--bogus"], ["nosuch", *C],
         ["compare", *C, "--model.sigma=0.015", *deep], ["compare", *C, "--model.sigma=0.02", *deep],
+        ["mc", *C, *mc, "--format", "svg"], ["compare", *C, *mc, "--format", "svg"],
     ]
 
 
