@@ -2,8 +2,11 @@
 
 Configuration comes from an INI-style file with [model], [grid] and
 [mc] sections; every value can be overridden on the command line by a
-flag of the same dotted name (e.g. --model.sigma=0.25), and an unknown
-key is a configuration error.  A table command builds one column table,
+flag of the same dotted name (e.g. --model.sigma=0.25).  _KEYS is the
+one table of keys: each maps to its type's parser, and every value is
+parsed once, when loaded, whether or not the command reads it.  An
+unknown key, a malformed value or a malformed file is a configuration
+error.  A table command builds one column table,
 a dict holding one float array over the strike grid per CSV column (NaN
 where a cell is undefined), and writes it to stdout or --out as CSV with
 a fixed column schema (undefined cells empty) or (--format svg) as a
@@ -58,11 +61,18 @@ COLUMNS = [
     "err_dmhj",
 ]
 
-# every key a configuration may set
-_KEYS = frozenset(
-    "model.type model.s0 model.sigma model.rho model.beta model.t model.epsilon model.m_t model.x0 "
-    "model.p_tilde_csv grid.k_min grid.k_max grid.n_points mc.n_paths mc.n_steps mc.seed mc.antithetic".split()
-)
+# every key a configuration may set: its parser, and the noun that names
+# what a value it rejects should have been
+_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+_NUMBER, _INTEGER, _TEXT = (float, "a number"), (int, "an integer"), (str, "text")
+_BOOLEAN = (lambda value: _BOOLEANS[value.strip().lower()], "a boolean")
+_KEYS = {
+    "model.type": _TEXT, "model.epsilon": _NUMBER, "model.s0": _NUMBER, "model.sigma": _NUMBER,
+    "model.rho": _NUMBER, "model.beta": _NUMBER, "model.t": _NUMBER, "model.m_t": _NUMBER,
+    "model.x0": _NUMBER, "model.p_tilde_csv": _TEXT, "grid.k_min": _NUMBER, "grid.k_max": _NUMBER,
+    "grid.n_points": _INTEGER, "mc.n_paths": _INTEGER, "mc.n_steps": _INTEGER, "mc.seed": _INTEGER,
+    "mc.antithetic": _BOOLEAN,
+}
 
 
 @dataclass
@@ -105,47 +115,45 @@ def _parse_overrides(tokens: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _load_settings(config_path: Optional[str], overrides: dict[str, str]) -> dict[str, str]:
-    settings: dict[str, str] = {}
+def _load_settings(config_path: Optional[str], overrides: dict[str, str]) -> dict[str, object]:
+    """The file's keys and then the overrides, every value parsed by its
+    _KEYS entry whether or not the command reads it."""
+    texts: dict[str, str] = {}
     if config_path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(config_path)
+        # no interpolation: a '%' in a file reads as literally as in an override
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(config_path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file {config_path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {config_path}")
         for section in parser.sections():
             for option, value in parser.items(section):
-                settings[f"{section}.{option}".lower()] = value
-    settings.update(overrides)
+                texts[f"{section}.{option}".lower()] = value
+    texts.update(overrides)
+    unknown = sorted(texts.keys() - _KEYS.keys())
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    settings = {}
+    for key, (parse, noun) in _KEYS.items():
+        if key in texts:
+            try:
+                settings[key] = parse(texts[key])
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"{key} must be {noun}, got {texts[key]!r}") from exc
     return settings
 
 
-def _get_float(settings: dict, key: str, default=None) -> Optional[float]:
-    if key not in settings:
-        return default
-    try:
-        return float(settings[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {settings[key]!r}") from exc
-
-
-def _get_int(settings: dict, key: str, default=None) -> Optional[int]:
-    if key not in settings:
-        return default
-    try:
-        return int(settings[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {settings[key]!r}") from exc
-
-
-def _get_bool(settings: dict, key: str, default: bool = False) -> bool:
-    if key not in settings:
-        return default
-    value = settings[key].strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {settings[key]!r}")
+def _section(settings: dict[str, object], section: str, names: tuple[str, ...]) -> Optional[list]:
+    """The values of a section's required keys, or None where no key of
+    the section is set."""
+    if not any(key.startswith(f"{section}.") for key in settings):
+        return None
+    keys = [f"{section}.{name}" for name in names]
+    if any(key not in settings for key in keys):
+        raise ConfigError(f"{section} requires {', '.join(keys)}")
+    return [settings[key] for key in keys]
 
 
 def _tabulated_p_tilde(path: str):
@@ -167,24 +175,20 @@ def _tabulated_p_tilde(path: str):
     return lambda u: np.interp(u, u_arr, v_arr, left=0.0, right=v_arr[-1])
 
 
-def _build_config(args, settings: dict[str, str]) -> RunConfig:
-    unknown = sorted(settings.keys() - _KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+def _build_config(args, settings: dict[str, object]) -> RunConfig:
     model_type = settings.get("model.type", "cev").strip().lower()
-    epsilon = _get_float(settings, "model.epsilon", 0.01)
     try:
-        bounds = BoundsConfig(epsilon=epsilon)
+        bounds = BoundsConfig(epsilon=settings.get("model.epsilon", 0.01))
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
     cev_model = None
     if model_type == "cev":
-        mapping = {}
-        for name in ("s0", "sigma", "rho", "beta", "t"):
-            value = _get_float(settings, f"model.{name}")
-            if value is not None:
-                mapping["T" if name == "t" else name] = value
+        mapping = {
+            "T" if name == "t" else name: settings[f"model.{name}"]
+            for name in ("s0", "sigma", "rho", "beta", "t")
+            if f"model.{name}" in settings
+        }
         try:
             params = CevParams.from_mapping(mapping)
             cev_model = CevModel(params)
@@ -195,16 +199,14 @@ def _build_config(args, settings: dict[str, str]) -> RunConfig:
         # and the atom model rejects it
         atom = None if args.command == "mc" else cev_model.atom_model()
     elif model_type == "atom":
-        m_t = _get_float(settings, "model.m_t")
-        T = _get_float(settings, "model.t")
-        x0 = _get_float(settings, "model.x0", 1.0)
+        m_t, T = settings.get("model.m_t"), settings.get("model.t")
         if m_t is None or T is None:
             raise ConfigError("atom model requires model.m_t and model.t")
         p_tilde = None
         if "model.p_tilde_csv" in settings:
             p_tilde = _tabulated_p_tilde(settings["model.p_tilde_csv"])
         try:
-            market = MarketSlice(x0=x0, T=T)
+            market = MarketSlice(x0=settings.get("model.x0", 1.0), T=T)
             atom = AtomModel(mass=m_t, p_tilde=p_tilde)
         except DomainError as exc:
             raise ConfigError(f"invalid atom model: {exc}") from exc
@@ -212,12 +214,9 @@ def _build_config(args, settings: dict[str, str]) -> RunConfig:
         raise ConfigError(f"model.type must be 'cev' or 'atom', got {model_type!r}")
 
     k_grid = None
-    if any(key.startswith("grid.") for key in settings):
-        k_min = _get_float(settings, "grid.k_min")
-        k_max = _get_float(settings, "grid.k_max")
-        n_points = _get_int(settings, "grid.n_points")
-        if k_min is None or k_max is None or n_points is None:
-            raise ConfigError("grid requires grid.k_min, grid.k_max, grid.n_points")
+    grid = _section(settings, "grid", ("k_min", "k_max", "n_points"))
+    if grid is not None:
+        k_min, k_max, n_points = grid
         if not (-math.inf < k_min < k_max < 0.0):
             raise ConfigError(
                 f"wing grid requires finite k_min < k_max < 0, got [{k_min}, {k_max}]"
@@ -227,18 +226,12 @@ def _build_config(args, settings: dict[str, str]) -> RunConfig:
         k_grid = [float(v) for v in np.linspace(k_min, k_max, n_points)]
 
     mc_config = None
-    if any(key.startswith("mc.") for key in settings):
-        n_paths = _get_int(settings, "mc.n_paths")
-        n_steps = _get_int(settings, "mc.n_steps")
-        seed = _get_int(settings, "mc.seed")
-        if n_paths is None or n_steps is None or seed is None:
-            raise ConfigError("mc requires mc.n_paths, mc.n_steps, mc.seed")
+    mc = _section(settings, "mc", ("n_paths", "n_steps", "seed"))
+    if mc is not None:
+        n_paths, n_steps, seed = mc
         try:
             mc_config = McConfig(
-                n_paths=n_paths,
-                n_steps=n_steps,
-                seed=seed,
-                antithetic=_get_bool(settings, "mc.antithetic", False),
+                n_paths=n_paths, n_steps=n_steps, seed=seed, antithetic=settings.get("mc.antithetic", False)
             )
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc

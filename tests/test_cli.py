@@ -571,6 +571,94 @@ class TestExitCodes:
         )
 
 
+class TestConfigKeys:
+    """Every value is parsed once, by its key's type, when it is loaded."""
+
+    MC = ["--mc.n_paths=4000", "--mc.n_steps=40", "--mc.seed=11"]
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (["--model.sigma=abc"], "model.sigma must be a number, got 'abc'"),
+            ([*MC[:2], "--mc.seed=1.5"], "mc.seed must be an integer, got '1.5'"),
+            ([*MC, "--mc.antithetic=maybe"], "mc.antithetic must be a boolean, got 'maybe'"),
+        ],
+    )
+    def test_bad_value_of_each_type(self, capsys, cev_config, override, message):
+        code, out, err = run_cli(capsys, ["mc", "--config", cev_config, *override])
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (["--grid.k_min=-3"], "grid requires grid.k_min, grid.k_max, grid.n_points"),
+            (["--mc.n_paths=100"], "mc requires mc.n_paths, mc.n_steps, mc.seed"),
+        ],
+    )
+    def test_incomplete_section(self, capsys, tmp_path, override, message):
+        path = tmp_path / "no_grid.ini"
+        path.write_text(CEV_CONFIG.split("[grid]")[0])
+        code, out, err = run_cli(capsys, ["smile", "--config", str(path), *override])
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "spelling, canonical",
+        [(s, "true") for s in ("1", "yes", "on", " On ", "TRUE")]
+        + [(s, "false") for s in ("0", "no", "off", "False")],
+    )
+    def test_boolean_spellings(self, capsys, cev_config, spelling, canonical):
+        runs = [run_cli(capsys, ["mc", "--config", cev_config, *self.MC, f"--mc.antithetic={value}"])
+                for value in (canonical, spelling)]
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize(
+        "command, override, message",
+        [
+            # an atom-model key the cev command never reads
+            ("mass", "--model.m_t=abc", "model.m_t must be a number, got 'abc'"),
+            # a bad value is named before the keys its section misses
+            ("mc", "--mc.antithetic=maybe", "mc.antithetic must be a boolean, got 'maybe'"),
+        ],
+    )
+    def test_every_value_is_checked(self, capsys, cev_config, command, override, message):
+        code, out, err = run_cli(capsys, [command, "--config", cev_config, override])
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"s0 = 0.05\n",  # no section header
+            b"[model]\ns0 = 0.05\ns0 = 0.06\n",  # duplicate option
+            b"[model]\ns0 = 0.05\n[model]\nt = 1.2\n",  # duplicate section
+            b"[model]\ns0 = 0.05\nstray line\n",  # neither section nor option
+            b"[model]\ns0 = 0.05\xff\n",  # not UTF-8
+        ],
+    )
+    def test_malformed_file_is_config_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(text)
+        code, out, err = run_cli(capsys, ["mass", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: malformed config file {path}: ")
+
+    def test_percent_in_file_value_is_literal(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("pct.ini").write_text(ATOM_CONFIG.replace("x0 = 1.0", "x0 = 1.0\np_tilde_csv = 10%.csv"))
+        code, out, err = run_cli(capsys, ["smile", "--config", "pct.ini"])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: cannot read p_tilde table 10%.csv: ")
+
+    @pytest.mark.parametrize("command", ["mass", "smile"])
+    def test_readme_example_config_runs(self, capsys, tmp_path, command):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        path = tmp_path / "run.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        code, out, err = run_cli(capsys, [command, "--config", str(path)])
+        assert (code, err) == (0, "")
+        assert out
+
+
 class TestDeterminism:
     def test_csv_byte_identical(self, capsys, cev_config):
         _, out1, _ = run_cli(capsys, ["compare", "--config", cev_config])

@@ -18,8 +18,11 @@ same seeds.  Six mc_smile requests of seed 1 then run uncut (about
 with antithetic pairs and the first without, so that the digests also
 cover full-size samples and the chunk and thread-share boundaries they
 cut.  Then come the command lines of tests/test_cli.py on its
-CEV_CONFIG and ATOM_CONFIG, and two SVG requests (mc and compare with
-[mc]) that draw the Monte Carlo series.  Each request runs through
+CEV_CONFIG and ATOM_CONFIG, two SVG requests (mc and compare with
+[mc]) that draw the Monte Carlo series, and requests that read the
+configuration key table: two boolean spellings, an upper-case key, the
+'--key value' form, one bad value of each type, and an incomplete [mc]
+and [grid].  Each request runs through
 atomvol.cli.main in this process, in a fresh temporary directory that
 holds every file it reads under a relative name, so no output depends
 on where the run took place.
@@ -65,6 +68,7 @@ def _test_runs(workloads) -> list[list[str]]:
         "zero_pt.csv": "1e-9,0.0\n1.0,0.0\n",
         "nan_pt.csv": "1e-12,0.001\n1e-6,nan\n1e-3,0.01\n1.0,0.2\n",
         "short.csv": "1e-9,0.0\n0.5\n1.0,0.2\n",
+        "no_grid.ini": cev.split("[grid]")[0],
     }
     for name, text in files.items():
         Path(name).write_text(text)
@@ -93,6 +97,13 @@ def _test_runs(workloads) -> list[list[str]]:
         ["mass", *C, "--bogus"], ["nosuch", *C],
         ["compare", *C, "--model.sigma=0.015", *deep], ["compare", *C, "--model.sigma=0.02", *deep],
         ["mc", *C, *mc, "--format", "svg"], ["compare", *C, *mc, "--format", "svg"],
+        # the configuration key table: boolean spellings, key case and the
+        # space form, one bad value of each type, and incomplete sections
+        ["mc", *C, *mc, "--mc.antithetic=yes"], ["mc", *C, *mc, "--mc.antithetic=0"],
+        ["mass", *C, "--MODEL.Sigma=0.25"], ["mass", *C, "--model.sigma", "0.25"],
+        ["smile", *C, "--model.sigma=abc"], ["mc", *C, *mc[:2], "--mc.seed=1.5"],
+        ["mc", *C, *mc, "--mc.antithetic=maybe"],
+        ["mc", *C, "--mc.n_paths=100"], ["smile", "--config", "no_grid.ini", "--grid.k_min=-3"],
     ]
 
 
