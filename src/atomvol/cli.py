@@ -61,10 +61,21 @@ COLUMNS = [
     "err_dmhj",
 ]
 
+
+def _digits(parse):
+    """parse, refusing the digit-group underscores ('1_0') float and int accept."""
+    def strict(value: str):
+        if "_" in value:
+            raise ValueError(f"digit-group underscore in {value!r}")
+        return parse(value)
+
+    return strict
+
+
 # every key a configuration may set: its parser, and the noun that names
 # what a value it rejects should have been
 _BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
-_NUMBER, _INTEGER, _TEXT = (float, "a number"), (int, "an integer"), (str, "text")
+_NUMBER, _INTEGER, _TEXT = (_digits(float), "a number"), (_digits(int), "an integer"), (str, "text")
 _BOOLEAN = (lambda value: _BOOLEANS[value.strip().lower()], "a boolean")
 _KEYS = {
     "model.type": _TEXT, "model.epsilon": _NUMBER, "model.s0": _NUMBER, "model.sigma": _NUMBER,

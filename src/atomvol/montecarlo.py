@@ -5,8 +5,8 @@ SplitMix64 output function (golden-gamma Weyl increment followed by
 Stafford's mix13 finalizer) evaluated at an index composed from
 (seed, stream, step), pushed through the inverse normal CDF.  Every
 draw is a pure function of those coordinates, so results are bit
-reproducible, independent of chunking, and safe to evaluate in
-parallel in any order.
+reproducible, independent of how the paths are tiled, and safe to
+evaluate in parallel in any order.
 
 The uniform is (m + 1/2) * 2^-53 for the top 53 bits m of the mix;
 at m = 2^53 - 1 it rounds to 1, so it is held at the largest double
@@ -18,29 +18,28 @@ SplitMix64 state of stream i at step s is seed + GOLDEN*(i*n_steps + 1
 computed once and a step adds GOLDEN*s.  Path p reads stream p, or under
 antithetic pairing stream p >> 1 with the sign + for even p and - for
 odd p, so the two paths of a pair read one stream with opposite signs.
-The draws are computed in step blocks: for the B = max(1, min(n_steps,
-2^15 // n)) steps of a block of a chunk of n paths, the states of the
-chunk's m distinct streams (m = n, or about n/2 under antithetic
-pairing) form one (B, m) array, and the hash, the uniform and ndtri
-each run once over it.  Under antithetic pairing each draw is then
-written to its even path and its negative to its odd path; negation is
-exact, so a pair cut by a chunk boundary draws its stream in both
-chunks and gets the same bits.  The update then runs step by step
-through buffers allocated once per chunk.  It is applied to every
-path, absorbed or not, then clamped at 0: for rho in (0, 1), 0**rho =
-0, and with a finite draw the increment of a path at 0 is 0, so it
-stays at 0.  The output is therefore bit-identical to stepping only the
-live paths.
 
-A request's paths are cut into contiguous chunks, and the chunks into
-one contiguous run per CPU the process may run on, each stepped on its
-own thread.  Numpy ufuncs and ndtri release the interpreter lock while
-they run, and each call takes it back; computing the draws in blocks
-leaves the update's six calls per step, where one-step draws took about
-17, so the threads hand the lock over less often.  Each thread writes only
-its own paths, and every draw and every update is a per-path,
-elementwise computation, so the output is bit-identical for any number
-of threads and any chunk size.
+A request's paths are cut into contiguous tiles, and a pool of one
+thread per CPU the process may run on steps them.  For the B = max(1,
+min(n_steps, 2^15 // n)) steps of a block of a tile of n paths, the
+states of the tile's m distinct streams (m = n, or about n/2 under
+antithetic pairing) form one (B, m) array, and the hash, the uniform
+and ndtri each run once over it.  Under antithetic pairing each draw is
+then written to its even path and its negative to its odd path;
+negation is exact, so a pair cut by a tile boundary draws its stream in
+both tiles and gets the same bits.  The update then runs step by step
+through buffers allocated once per tile.  It is applied to every path,
+absorbed or not, then clamped at 0: for rho in (0, 1), 0**rho = 0, and
+with a finite draw the increment of a path at 0 is 0, so it stays at 0.
+The output is therefore bit-identical to stepping only the live paths.
+
+Numpy ufuncs and ndtri release the interpreter lock while they run, and
+each call takes it back; computing the draws in blocks leaves the
+update's six calls per step, where one-step draws took about 17, so the
+threads hand the lock over less often.  Each tile writes only its own
+paths, and every draw and every update is a per-path, elementwise
+computation, so the output is bit-identical for any tiling and any
+number of threads.
 
 mc_smile prices every strike of its grid from the one terminal sample,
 in one payoff buffer allocated per call; mc_put_price is the one-strike
@@ -77,7 +76,7 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 # largest double below 1: the uniform's ceiling, so that ndtri stays finite
 _U_MAX = 1.0 - 2.0**-53
-# elements of a chunk's draw block: the draws of up to _BLOCK // n_paths
+# elements of a tile's draw block: the draws of up to _BLOCK // n_paths
 # steps are computed in one pass
 _BLOCK = 1 << 15
 
@@ -187,26 +186,21 @@ def _euler_chunk(
     updates all the paths; absorbed ones sit at 0, where the update
     keeps them.
     """
-    n = stop - start
-    if cfg.antithetic:
-        # paths start..stop-1 read streams start>>1..(stop-1)>>1; path p
-        # sits in column p - 2*(start>>1) of the expanded draws
-        first_stream, lead = start >> 1, start & 1
-        m = ((stop - 1) >> 1) - first_stream + 1
-    else:
-        first_stream, lead, m = start, 0, n
+    n, pair = stop - start, 2 if cfg.antithetic else 1
+    # paths start..stop-1 read the m streams start//pair..(stop-1)//pair;
+    # the draw of stream first_stream + j sits in column pair*j of z, under
+    # antithetic pairing its negative in the next, and path p in column
+    # p - pair*first_stream
+    first_stream, lead = divmod(start, pair)
+    m = (stop - 1) // pair - first_stream + 1
     streams = np.arange(first_stream, first_stream + m, dtype=np.uint64)
     keys = _counter_keys(cfg.seed, streams, cfg.n_steps)
     block = max(1, min(cfg.n_steps, _BLOCK // n))
     # GOLDEN*s modulo 2^64 for every step s: uint64 arithmetic wraps
     offsets = (_GOLDEN * np.arange(cfg.n_steps, dtype=np.uint64))[:, None]
     bits, tmp = np.empty((block, m), np.uint64), np.empty((block, m), np.uint64)
-    if cfg.antithetic:
-        # each stream's draw in the even column, its negative in the odd one
-        z = np.empty((block, 2 * m))
-        draws = z[:, 0::2]
-    else:
-        z = draws = np.empty((block, n))
+    z = np.empty((block, pair * m))
+    draws = z[:, ::pair]
     incr = np.empty_like(S)
     S.fill(params.s0)
     for first in range(0, cfg.n_steps, block):
@@ -241,36 +235,29 @@ def simulate_terminals(
     """Terminal CEV values under Euler stepping with full absorption.
 
     A path is absorbed the first time its Euler update lands at or below
-    zero and stays at zero afterwards.  The paths are split into one
-    contiguous share per CPU the process may run on, each stepped on its
-    own thread; the caller's thread steps the first share.  An exception
-    raised in any share reaches the caller, and every thread has stopped
-    before the call returns or raises.  A thread steps its share in
-    chunks of at most chunk_size paths, with chunk-sized buffers, so
-    chunk_size bounds a thread's memory.  The output is bit-identical
-    for any chunk_size and any number of CPUs: each thread writes only
-    its own paths, and every draw and update is per path; see the
+    zero and stays at zero afterwards.  The paths are cut into contiguous
+    tiles of min(chunk_size, ceil(n_paths / W)) paths, W the number of
+    CPUs the process may run on, and W threads step the tiles, each with
+    tile-sized buffers, so chunk_size bounds a thread's memory.  An
+    exception raised in any tile reaches the caller, and every thread
+    has stopped before the call returns or raises.  The output is
+    bit-identical for any chunk_size and any number of CPUs; see the
     module docstring.
     """
     if integer("chunk_size", chunk_size) < 1:
         raise DomainError(f"chunk_size must be >= 1, got {chunk_size}")
     sqdt = math.sqrt(params.T / cfg.n_steps)
     out = np.empty(cfg.n_paths, dtype=np.float64)
-    share = -(-cfg.n_paths // _worker_count())
-    starts = range(0, cfg.n_paths, share)
+    workers = _worker_count()
+    tile = min(chunk_size, -(-cfg.n_paths // workers))
 
     def run(start):
-        stop = min(start + share, cfg.n_paths)
-        for first in range(start, stop, chunk_size):
-            last = min(first + chunk_size, stop)
-            _euler_chunk(params, cfg, first, last, sqdt, out[first:last])
+        stop = min(start + tile, cfg.n_paths)
+        _euler_chunk(params, cfg, start, stop, sqdt, out[start:stop])
 
-    # threads start at submit, so a single share starts none
-    with ThreadPoolExecutor(max_workers=max(1, len(starts) - 1)) as pool:
-        futures = [pool.submit(run, start) for start in starts[1:]]
-        run(starts[0])
-        for future in futures:
-            future.result()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # list() reads every tile's result, so any tile's exception reaches the caller
+        list(pool.map(run, range(0, cfg.n_paths, tile)))
     return out
 
 

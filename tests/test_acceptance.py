@@ -49,7 +49,7 @@ from atomvol import (
 )
 from atomvol.cli import main
 
-from conftest import PRINTED_PARAMS
+from conftest import PRINTED_PARAMS, sigma_for_mass
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -195,14 +195,7 @@ def test_criterion_05_error_order(reference_model, printed_model):
 
     # plateau configuration: the normalized sequence has settled near its
     # asymptotic constant inside the strike window (module docstring)
-    from scipy.optimize import brentq
-
-    sigma = brentq(
-        lambda s: CevModel(CevParams(s0=0.05, sigma=s, rho=0.45, T=1.2)).mass - 0.3,
-        0.01,
-        8.0,
-        xtol=1e-13,
-    )
+    sigma = sigma_for_mass(0.3, rho=0.45)
     plateau_model = CevModel(CevParams(s0=0.05, sigma=sigma, rho=0.45, T=1.2))
     seq = sequence(plateau_model)
     bound = 2.0 * seq[0]

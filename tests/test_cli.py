@@ -1,6 +1,7 @@
 """Command-line surface: config parsing, dotted overrides, CSV schema,
 SVG well-formedness, exit codes, and byte determinism."""
 
+import configparser
 import csv
 import io
 import math
@@ -624,6 +625,27 @@ class TestConfigKeys:
     def test_every_value_is_checked(self, capsys, cev_config, command, override, message):
         code, out, err = run_cli(capsys, [command, "--config", cev_config, override])
         assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("in_file", [False, True])
+    @pytest.mark.parametrize(
+        "key, value, noun",
+        [("grid.n_points", "1_7", "an integer"), ("mc.seed", "1_0", "an integer"),
+         ("model.sigma", "0.2_5", "a number")],
+    )
+    def test_digit_group_underscore_is_refused(self, capsys, tmp_path, in_file, key, value, noun):
+        # int() and float() read '1_7' as 17 and '0.2_5' as 0.25
+        parser = configparser.ConfigParser()
+        parser.read_string(CEV_CONFIG)
+        parser.read_dict({"mc": {"n_paths": "4000", "n_steps": "40", "seed": "11"}})
+        section, _, option = key.partition(".")
+        if in_file:
+            parser.set(section, option, value)
+        path = tmp_path / "mc.ini"
+        with path.open("w") as f:
+            parser.write(f)
+        argv = ["mc", "--config", str(path)] + ([] if in_file else [f"--{key}={value}"])
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (2, "", f"config error: {key} must be {noun}, got {value!r}\n")
 
     @pytest.mark.parametrize(
         "text",

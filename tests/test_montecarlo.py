@@ -234,14 +234,21 @@ class TestSimulate:
     ):
         # an antithetic pair shares one stream: a chunk draws each of its
         # distinct streams once a step, not once per path; the output of
-        # these runs is checked by test_worker_count_invariance
+        # these runs is checked by test_worker_count_invariance.  No chunk
+        # holds more than chunk_size paths and no more than workers chunks
+        # run at once, the memory bound simulate_terminals states
         cfg = McConfig(n_paths=349, n_steps=19, seed=11, antithetic=antithetic)
         euler_chunk, normals_into = montecarlo._euler_chunk, montecarlo._normals_into
-        chunks, draws = [], []
+        chunks, draws, running, lock = [], [], [0, 0], threading.Lock()
 
         def recording_chunk(params, cfg, start, stop, sqdt, S):
-            chunks.append((start, stop))
+            with lock:
+                chunks.append((start, stop))
+                running[0] += 1
+                running[1] = max(running)
             euler_chunk(params, cfg, start, stop, sqdt, S)
+            with lock:
+                running[0] -= 1
 
         def counting_normals(bits, tmp, out):
             draws.append(bits.size)
@@ -254,6 +261,8 @@ class TestSimulate:
         chunks.sort()
         assert [start for start, _ in chunks] == [0, *(stop for _, stop in chunks[:-1])]
         assert chunks[-1][1] == cfg.n_paths
+        assert max(stop - start for start, stop in chunks) <= chunk_size
+        assert running[1] <= workers
         if antithetic:
             streams = sum(((stop - 1) >> 1) - (start >> 1) + 1 for start, stop in chunks)
         else:

@@ -29,6 +29,7 @@ from atomvol import (
     u_k,
     u_k_inv,
 )
+import atomvol.wing as wing
 from atomvol.errors import DomainAboveError, DomainBelowError, DomainError
 from atomvol.wing import _u_k_left_edge, dmhj_psi_envelope
 
@@ -451,6 +452,37 @@ class TestSmileGrid:
                 if want is not None:
                     assert got == want, (name, K)
         assert math.isnan(columns["lower"][4]) and not math.isnan(columns["lower"][2])
+
+    def test_levels_match_their_scalar_definitions(self, reference_model, monkeypatch):
+        # the level matrix smile_grid passes to u_k_inv: rows mass, G, p_T
+        # and G_eps, each equal bit for bit to its scalar definition, NaN off
+        # the wing; a reordered G rounds differently at only a few of these
+        market, model = reference_model.market(), reference_model.atom_model()
+        cfg, x0 = BoundsConfig(epsilon=0.05), market.x0
+        strikes = [x0 * math.exp(k) for k in np.linspace(-30.0, -0.2, 60)] + [x0, 0.07]
+        levels = []
+
+        def recording(y, L):
+            levels.append(np.array(y))
+            return u_k_inv(y, L)
+
+        monkeypatch.setattr(wing, "u_k_inv", recording)
+        smile_grid(market, strikes, model, {"approximations", "band"}, cfg)
+
+        def on_wing(level):
+            return [level(K) if K < x0 else math.nan for K in strikes]
+
+        a = norm_cdf_inv(model.mass)
+        want = [
+            [model.mass] * len(strikes),
+            on_wing(lambda K: wing._g(market, K, model)),
+            on_wing(lambda K: model.p_total(K / x0)),
+            on_wing(lambda K: wing._deflated(wing._g(market, K, model), a, wing._wing_depth(market, K), cfg)),
+        ]
+        (got,) = levels
+        assert got.shape == (4, len(strikes))
+        for row, expected in zip(got, want):
+            assert np.array_equal(row, expected, equal_nan=True)
 
     def test_groups_select_columns(self):
         market, model = MarketSlice(x0=1.0, T=1.2), AtomModel(mass=0.07)
