@@ -6,7 +6,12 @@ flag of the same dotted name (e.g. --model.sigma=0.25).  _KEYS is the
 one table of keys: each maps to its type's parser, and every value is
 parsed once, when loaded, whether or not the command reads it.  An
 unknown key, a malformed value or a malformed file is a configuration
-error.  A table command builds one column table,
+error.  An atom model may take the CDF p_tilde(u) = P(0 < X <= u) of its
+continuous part from model.p_tilde_csv, a table of (u, p_tilde) rows read
+in one numpy call and interpolated linearly; a table that is not such a
+CDF beside the mass m_t (u finite, positive and distinct; p_tilde NaN or
+in [0, 1 - m_t], and nondecreasing in u) is a configuration error too.
+A table command builds one column table,
 a dict holding one float array over the strike grid per CSV column (NaN
 where a cell is undefined), and writes it to stdout or --out as CSV with
 a fixed column schema (undefined cells empty) or (--format svg) as a
@@ -18,10 +23,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import functools
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -167,22 +172,29 @@ def _section(settings: dict[str, object], section: str, names: tuple[str, ...]) 
     return [settings[key] for key in keys]
 
 
-def _tabulated_p_tilde(path: str):
-    """Monotone interpolant of a two-column (u, p_tilde) CSV table."""
-    pairs = []
+def _tabulated_p_tilde(path: str, m_t: float):
+    """Monotone interpolant of a two-column (u, p_tilde) CSV table, refused
+    unless it is the CDF of a continuous part beside a mass m_t at zero."""
     try:
-        with open(path, newline="") as handle:
-            for row in csv.reader(handle):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                u, value = row[:2]  # a one-column row raises ValueError here
-                pairs.append((float(u), float(value)))
+        with open(path) as handle, warnings.catch_warnings():
+            # an empty table warns; it is refused below with the one-row table
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # stripped lines, so that an indented '#' line is a comment too
+            table = np.loadtxt([line.strip() for line in handle], delimiter=",", comments="#",
+                               quotechar='"', usecols=(0, 1), ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read p_tilde table {path}: {exc}") from exc
-    if len(pairs) < 2:
-        raise ConfigError(f"p_tilde table {path} needs at least two rows")
-    table = np.asarray(pairs)
     u_arr, v_arr = np.ascontiguousarray(table[np.argsort(table[:, 0])].T)
+    for broken, rule in [
+        (len(u_arr) < 2, "at least two rows"),
+        (not np.all(np.isfinite(u_arr) & (u_arr > 0.0)), "every u finite and > 0"),
+        (np.any(np.diff(u_arr) == 0.0), "distinct u"),
+        (not np.all(np.isnan(v_arr) | ((v_arr >= 0.0) & (v_arr <= 1.0 - m_t))),
+         f"every p_tilde NaN or in [0, 1 - m_t] = [0, {1.0 - m_t!r}]"),
+        (np.any(np.diff(v_arr[~np.isnan(v_arr)]) < 0.0), "p_tilde nondecreasing in u"),
+    ]:
+        if broken:
+            raise ConfigError(f"p_tilde table {path} needs {rule}")
     return lambda u: np.interp(u, u_arr, v_arr, left=0.0, right=v_arr[-1])
 
 
@@ -213,14 +225,14 @@ def _build_config(args, settings: dict[str, object]) -> RunConfig:
         m_t, T = settings.get("model.m_t"), settings.get("model.t")
         if m_t is None or T is None:
             raise ConfigError("atom model requires model.m_t and model.t")
-        p_tilde = None
-        if "model.p_tilde_csv" in settings:
-            p_tilde = _tabulated_p_tilde(settings["model.p_tilde_csv"])
         try:
             market = MarketSlice(x0=settings.get("model.x0", 1.0), T=T)
-            atom = AtomModel(mass=m_t, p_tilde=p_tilde)
+            atom = AtomModel(mass=m_t)
         except DomainError as exc:
             raise ConfigError(f"invalid atom model: {exc}") from exc
+        if "model.p_tilde_csv" in settings:
+            # read once the mass is valid: the table's rules bound p_tilde by 1 - m_t
+            atom = AtomModel(mass=m_t, p_tilde=_tabulated_p_tilde(settings["model.p_tilde_csv"], m_t))
     else:
         raise ConfigError(f"model.type must be 'cev' or 'atom', got {model_type!r}")
 

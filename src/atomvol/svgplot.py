@@ -30,6 +30,10 @@ class Series:
     markers: bool = False
 
 
+# text content: a label may hold any of the three characters XML reserves there
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
@@ -91,7 +95,7 @@ def render_plot(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{title.translate(_XML_TEXT)}</text>',
     ]
 
     # axes box and ticks
@@ -123,12 +127,12 @@ def render_plot(
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{_HEIGHT - 12}" '
         f'text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13">{xlabel}</text>'
+        f'font-size="13">{xlabel.translate(_XML_TEXT)}</text>'
     )
     parts.append(
         f'<text x="18" y="{_MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.0f})">{ylabel}</text>'
+        f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.0f})">{ylabel.translate(_XML_TEXT)}</text>'
     )
 
     # data
@@ -167,7 +171,7 @@ def render_plot(
             )
         parts.append(
             f'<text x="{lx + 34}" y="{ly:.0f}" font-family="sans-serif" '
-            f'font-size="12">{s.label}</text>'
+            f'font-size="12">{s.label.translate(_XML_TEXT)}</text>'
         )
         ly += 17
 

@@ -26,6 +26,7 @@ from atomvol import (
 from atomvol.cev import CevModel, CevParams
 from atomvol.cli import COLUMNS, _emit_csv, main
 from atomvol.errors import DomainError
+from atomvol.svgplot import Series, render_plot
 
 CEV_CONFIG = """\
 [model]
@@ -53,6 +54,19 @@ k_min = -8
 k_max = -2
 n_points = 4
 """
+
+
+# a p_tilde table for ATOM_CONFIG, and spellings of it that read the same;
+# tools/cli_digest.py reads both literals from this file
+P_TILDE_TABLE = "1e-9,0.0\n1e-3,0.01\n1.0,0.2\n"
+P_TILDE_VARIANTS = {
+    "unsorted": "1.0,0.2\n1e-9,0.0\n1e-3,0.01\n",
+    "comments": "# u, p_tilde\n1e-9,0.0\n  # indented\n\n1e-3,0.01\n1.0,0.2\n",
+    "third_column": "1e-9,0.0,a\n1e-3,0.01,7\n1.0,0.2,\n",
+    "spaces": " 1e-9 , 0.0\n1e-3,\t0.01 \n  1.0,0.2  \n",
+    "quoted": '"1e-9","0.0"\n"1e-3",0.01\n1.0,"0.2"\n',
+    "crlf": "1e-9,0.0\r\n1e-3,0.01\r\n1.0,0.2\r\n",
+}
 
 
 @pytest.fixture
@@ -461,6 +475,12 @@ class TestSvg:
         # one marker per strike of the 5-point grid, plus the legend's
         assert len(list(root.iter("{http://www.w3.org/2000/svg}circle"))) == 6
 
+    def test_text_is_escaped(self):
+        series = [Series("P&L <put>", "#000", ((0.0, 1.0), (1.0, 2.0)))]
+        root = ET.fromstring(render_plot(series, "a & b", "k > 0", "iv < 1"))
+        texts = [text.text for text in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert {"a & b", "k > 0", "iv < 1", "P&L <put>"} <= set(texts)
+
 
 class TestExitCodes:
     def test_bad_grid_is_config_error(self, capsys, cev_config):
@@ -570,6 +590,80 @@ class TestExitCodes:
         assert CevModel(params).put_price(0.05 * math.exp(-10.0)) == pytest.approx(
             5.6335997869416347e-256, rel=1e-12, abs=0.0
         )
+
+
+class TestPTildeTable:
+    """The p_tilde table's grammar, and the rules that make it the CDF of a
+    continuous part beside ATOM_CONFIG's mass m_t = 0.0707 at zero."""
+
+    def smile(self, capsys, atom_config, table, data):
+        if data is not None:
+            table.write_bytes(data)
+        return run_cli(capsys, ["smile", "--config", atom_config, f"--model.p_tilde_csv={table}"])
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            *(text.encode() for text in P_TILDE_VARIANTS.values()),
+            # a line of spaces and a '#' after a value are skipped
+            b"1e-9,0.0\n   \n1e-3,0.01\n1.0,0.2\n",
+            b"1e-9,0.0 # note\n1e-3,0.01\n1.0,0.2\n",
+        ],
+        ids=[*P_TILDE_VARIANTS, "spaces_line", "trailing_comment"],
+    )
+    def test_spelling_reads_as_the_table(self, capsys, atom_config, tmp_path, data):
+        code, want, err = self.smile(capsys, atom_config, tmp_path / "pt.csv", P_TILDE_TABLE.encode())
+        assert (code, err) == (0, "")
+        assert all(row[COLUMNS.index("three_term_pT")] for row in parse_csv(want)[1])
+        assert self.smile(capsys, atom_config, tmp_path / "variant.csv", data) == (0, want, "")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"1e-9,0.0\n0.5\n1.0,0.2\n", "cannot read p_tilde table {}: "),
+            (b"1e-9,0.0\nabc,0.01\n1.0,0.2\n", "cannot read p_tilde table {}: "),
+            (b"1e-9,0.0\n", "p_tilde table {} needs at least two rows"),
+            (b"", "p_tilde table {} needs at least two rows"),
+            (None, "cannot read p_tilde table {}: "),
+            (b"1e-9,0.0\n\xff,0.01\n1.0,0.2\n", "cannot read p_tilde table {}: "),
+            (b"1e-9,0.0\n1e-3,0.01\n1_0,0.2\n", "cannot read p_tilde table {}: "),
+        ],
+        ids=["one_column", "non_numeric", "one_row", "empty", "missing", "not_utf8", "digit_group_underscore"],
+    )
+    def test_unreadable_table_is_one_line_config_error(self, capsys, atom_config, tmp_path, data, message):
+        table = tmp_path / "pt.csv"
+        code, out, err = self.smile(capsys, atom_config, table, data)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: " + message.format(table))
+        assert err.endswith("\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, rule",
+        [
+            ("nan,0.0\n1e-3,0.01\n1.0,0.2\n", "every u finite and > 0"),
+            ("0.0,0.0\n1e-3,0.01\n1.0,0.2\n", "every u finite and > 0"),
+            ("-1e-3,0.0\n1e-3,0.01\n1.0,0.2\n", "every u finite and > 0"),
+            ("1e-9,0.0\n1e-3,0.01\ninf,0.2\n", "every u finite and > 0"),
+            ("1e-9,0.0\n1e-3,0.01\n1e-3,0.02\n1.0,0.2\n", "distinct u"),
+            ("1e-9,-0.01\n1e-3,0.01\n1.0,0.2\n", "every p_tilde NaN or in [0, 1 - m_t]"),
+            ("1e-9,0.0\n1e-3,0.01\n1.0,0.95\n", "every p_tilde NaN or in [0, 1 - m_t]"),
+            ("1e-9,0.0\n1e-3,inf\n1.0,0.2\n", "every p_tilde NaN or in [0, 1 - m_t]"),
+            ("1e-9,-inf\n1e-3,0.01\n1.0,0.2\n", "every p_tilde NaN or in [0, 1 - m_t]"),
+            ("1e-9,0.0\n1e-3,0.3\n1.0,0.2\n", "p_tilde nondecreasing in u"),
+            ("1e-9,0.0\n1e-6,0.3\n1e-3,nan\n1.0,0.2\n", "p_tilde nondecreasing in u"),
+        ],
+        ids=["nan_u", "zero_u", "negative_u", "infinite_u", "repeated_u", "negative_p", "p_above_1_minus_m",
+             "infinite_p", "minus_infinite_p", "decreasing_p", "decreasing_p_across_nan"],
+    )
+    def test_table_that_is_not_a_continuous_cdf_is_config_error(self, capsys, atom_config, tmp_path, text, rule):
+        table = tmp_path / "pt.csv"
+        code, out, err = self.smile(capsys, atom_config, table, text.encode())
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: p_tilde table {table} needs {rule}")
+
+    def test_bounds_of_p_tilde_are_accepted(self, capsys, atom_config, tmp_path):
+        table = f"1e-9,0.0\n1e-3,nan\n1.0,{1.0 - 0.0707!r}\n".encode()
+        assert self.smile(capsys, atom_config, tmp_path / "pt.csv", table)[0] == 0
 
 
 class TestConfigKeys:

@@ -22,8 +22,10 @@ CEV_CONFIG and ATOM_CONFIG, two SVG requests (mc and compare with
 [mc]) that draw the Monte Carlo series, and requests that read the
 configuration key table: two boolean spellings, an upper-case key, the
 '--key value' form, one bad value of each type, and an incomplete [mc]
-and [grid].  Each request runs through
-atomvol.cli.main in this process, in a fresh temporary directory that
+and [grid].  Last come smile requests on ATOM_CONFIG that read the
+P_TILDE_TABLE of tests/test_cli.py and each of its P_TILDE_VARIANTS,
+spellings of that table that must read the same.  Each request runs
+through atomvol.cli.main in this process, in a fresh temporary directory that
 holds every file it reads under a relative name, so no output depends
 on where the run took place.
 """
@@ -46,13 +48,15 @@ BLOCKS = 8
 MC_PATH_CUT = 100
 
 
-def _test_configs() -> dict[str, str]:
-    """CEV_CONFIG and ATOM_CONFIG as written in tests/test_cli.py."""
+def _test_configs() -> dict[str, object]:
+    """CEV_CONFIG, ATOM_CONFIG, P_TILDE_TABLE and P_TILDE_VARIANTS as
+    written in tests/test_cli.py."""
+    names = ("CEV_CONFIG", "ATOM_CONFIG", "P_TILDE_TABLE", "P_TILDE_VARIANTS")
     tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
     return {
         node.targets[0].id: ast.literal_eval(node.value)
         for node in tree.body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") in ("CEV_CONFIG", "ATOM_CONFIG")
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") in names
     }
 
 
@@ -70,8 +74,11 @@ def _test_runs(workloads) -> list[list[str]]:
         "short.csv": "1e-9,0.0\n0.5\n1.0,0.2\n",
         "no_grid.ini": cev.split("[grid]")[0],
     }
-    for name, text in files.items():
-        Path(name).write_text(text)
+    # the p_tilde table and its spellings that read the same, byte for byte
+    tables = {"pt_table.csv": configs["P_TILDE_TABLE"]}
+    tables |= {f"pt_{name}.csv": text for name, text in configs["P_TILDE_VARIANTS"].items()}
+    for name, text in (files | tables).items():
+        Path(name).write_bytes(text.encode())
     # the tests' reference_sigma fixture: CEV mass 0.0707 at s0=0.05, rho=0.6, T=1.2
     ref = f"--model.sigma={workloads.sigma_for_mass(0.05, 0.6, 1.2, 0.0707)!r}"
     C, A = ["--config", "cev.ini"], ["--config", "atom.ini"]
@@ -104,6 +111,7 @@ def _test_runs(workloads) -> list[list[str]]:
         ["smile", *C, "--model.sigma=abc"], ["mc", *C, *mc[:2], "--mc.seed=1.5"],
         ["mc", *C, *mc, "--mc.antithetic=maybe"],
         ["mc", *C, "--mc.n_paths=100"], ["smile", "--config", "no_grid.ini", "--grid.k_min=-3"],
+        *(["smile", *A, f"--model.p_tilde_csv={name}"] for name in tables),
     ]
 
 
