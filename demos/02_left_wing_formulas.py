@@ -14,11 +14,10 @@ value of the published comparison; see the test suite for why the flat
 
 import math
 
-from scipy.optimize import brentq
-
 from atomvol import (
     CevModel,
     CevParams,
+    sigma_for_mass,
     smile_dmhj,
     smile_leading,
     smile_three_term_G,
@@ -26,12 +25,7 @@ from atomvol import (
     smile_three_term_pT,
 )
 
-TARGET_MASS = 0.0707
-sigma = brentq(
-    lambda s: CevModel(CevParams(s0=0.05, sigma=s, rho=0.6, T=1.2)).mass - TARGET_MASS,
-    0.05,
-    1.0,
-)
+sigma = sigma_for_mass(0.0707, rho=0.6, s0=0.05, T=1.2)
 model = CevModel(CevParams(s0=0.05, sigma=sigma, rho=0.6, T=1.2))
 market = model.market()
 atom = model.atom_model()

@@ -10,16 +10,10 @@ threshold empirically and shows the band tightening like L^(-3/2).
 
 import math
 
-from scipy.optimize import brentq
-
-from atomvol import BoundsConfig, CevModel, CevParams, smile_bounds
+from atomvol import BoundsConfig, CevModel, CevParams, sigma_for_mass, smile_bounds
 from atomvol.errors import DomainBelowError
 
-sigma = brentq(
-    lambda s: CevModel(CevParams(s0=0.05, sigma=s, rho=0.6, T=1.2)).mass - 0.0707,
-    0.05,
-    1.0,
-)
+sigma = sigma_for_mass(0.0707, rho=0.6, s0=0.05, T=1.2)
 model = CevModel(CevParams(s0=0.05, sigma=sigma, rho=0.6, T=1.2))
 market = model.market()
 atom = model.atom_model()

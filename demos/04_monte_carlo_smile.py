@@ -10,23 +10,18 @@ the same comparison as an SVG through the command-line machinery.
 import math
 import pathlib
 
-from scipy.optimize import brentq
-
 from atomvol import (
     CevModel,
     CevParams,
     McConfig,
     mc_smile,
+    sigma_for_mass,
     smile_dmhj,
     smile_three_term_atom,
 )
 from atomvol.cli import main
 
-sigma = brentq(
-    lambda s: CevModel(CevParams(s0=0.05, sigma=s, rho=0.6, T=1.2)).mass - 0.0707,
-    0.05,
-    1.0,
-)
+sigma = sigma_for_mass(0.0707, rho=0.6, s0=0.05, T=1.2)
 params = CevParams(s0=0.05, sigma=sigma, rho=0.6, T=1.2)
 model = CevModel(params)
 market = model.market()

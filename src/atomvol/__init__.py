@@ -11,7 +11,7 @@ from atomvol.blackscholes import (
     implied_vol,
     vega,
 )
-from atomvol.cev import CevModel, CevParams, reg_inc_gamma, reg_inc_gamma_upper
+from atomvol.cev import CevModel, CevParams, reg_inc_gamma, reg_inc_gamma_upper, sigma_for_mass
 from atomvol.errors import (
     AtomvolError,
     ConfigError,
@@ -75,6 +75,7 @@ __all__ = [
     "norm_cdf_inv",
     "reg_inc_gamma",
     "reg_inc_gamma_upper",
+    "sigma_for_mass",
     "AtomModel",
     "BoundsConfig",
     "estims_ratio",

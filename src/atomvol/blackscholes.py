@@ -5,9 +5,9 @@ handled in log space so that strikes many orders of magnitude below spot
 still price and invert with full relative accuracy; this is the regime
 the small-strike asymptotics live in.
 
-The inversion's root-finder is Brent's method, written here step for step
-as scipy.optimize.brentq runs it and returning the same roots bit for bit,
-so pricing and inversion load scipy.special alone.
+The inversion is one safeguarded Newton loop on the log price, seeded by
+the leading-order wing formula, so pricing and inversion load
+scipy.special alone.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _SIGMA_LO = 1e-9
 _SIGMA_HI_START = 10.0
 _SIGMA_HI_MAX = 1e9
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -128,13 +129,16 @@ def implied_vol(market: MarketSlice, quote: OptionQuote) -> float:
     """Invert a call or put price to its Black-Scholes volatility.
 
     Root-finding runs on the log of the out-of-the-money price, which is
-    strictly increasing in sigma; Brent over a bracket expanded from
-    [1e-9, 10] (this module's _brent, bit-identical to scipy's brentq) is
-    followed by a few Newton polish steps in log space.
+    strictly increasing in sigma.  After a bracket expanded from [1e-9, 10],
+    one safeguarded Newton loop (rtsafe, Numerical Recipes 9.4) starts from
+    the leading-order wing formula: each step prices once, narrows the
+    bracket by the sign of the residual, and bisects where the Newton step
+    would leave it.  It stops at a log-price residual below 1e-14 or a step
+    below 1e-15 sigma.
     Raises NoSolutionError for prices at or outside the no-arbitrage
     interval (at/below intrinsic, at/above the x0 or K upper bound), for a
-    price not attainable inside [1e-9, 1e9], for a nan objective and for a
-    Brent search that does not converge in 200 steps.
+    price not attainable inside [1e-9, 1e9] and for a search that does not
+    converge in 100 steps.
     """
     K, price = quote.strike, quote.price
     if quote.kind == "call":
@@ -161,94 +165,33 @@ def implied_vol(market: MarketSlice, quote: OptionQuote) -> float:
         )
     log_target = math.log(target)
 
-    def objective(sigma: float) -> float:
-        return _log_otm_price(market, K, sigma) - log_target
-
     lo, hi = _SIGMA_LO, _SIGMA_HI_START
-    f_lo = objective(lo)
-    if f_lo >= 0.0:
+    if _log_otm_price(market, K, lo) >= log_target:
         raise NoSolutionError("price is not attainable above sigma = 1e-9")
-    f_hi = objective(hi)
-    while f_hi < 0.0:
+    while _log_otm_price(market, K, hi) < log_target:
         hi *= 2.0
         if hi > _SIGMA_HI_MAX:
             raise NoSolutionError("price is not attainable below sigma = 1e9")
-        f_hi = objective(hi)
-    sigma, resid = _brent(objective, lo, hi, f_lo, f_hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
 
-    # Newton polish in log-price space recovers the last couple of digits
-    # that the bracketing tolerance leaves on the table.  Each step prices
-    # once, for its residual and its vega ratio both.
-    log_price = None
-    for polish in range(3):
-        if polish:
-            log_price = _log_otm_price(market, K, sigma)
-            resid = log_price - log_target
+    # seed: sqrt(2/T) [sqrt(log(max(x0, K)/P)) - sqrt(log(min(x0, K)/P))]
+    near, far = sorted((math.log(market.x0) - log_target, math.log(K) - log_target))
+    sigma = math.sqrt(2.0 / market.T) * (math.sqrt(far) - math.sqrt(near))
+    if not lo < sigma < hi:
+        sigma = 0.5 * (lo + hi)
+    for _ in range(_MAX_STEPS):
+        log_price = _log_otm_price(market, K, sigma)
+        resid = log_price - log_target
         if abs(resid) < 1e-14:
-            break
-        if log_price is None:
-            log_price = _log_otm_price(market, K, sigma)
-        step = -resid * math.exp(log_price - _log_vega(market, K, sigma))
-        candidate = sigma + step
-        if not (0.0 < candidate < _SIGMA_HI_MAX) or not math.isfinite(candidate):
-            break
-        sigma = candidate
-    return sigma
-
-
-def _brent(f, a, b, fa, fb, xtol, rtol, maxiter):
-    """(x, f(x)) at a root of f that a and b bracket, given fa = f(a) and fb = f(b).
-
-    Brent's method (Algorithms for Minimization without Derivatives, 1973,
-    ch. 4), step for step as scipy's brentq.c takes it, so every root is
-    bit-identical to scipy.optimize.brentq's.  The arithmetic is in Python
-    floats; where C divides by zero, its inf or nan quotient fails the step
-    test, so this bisects.  Raises NoSolutionError if fa and fb do not
-    straddle a root, if f is nan, or after maxiter steps.
-    """
-
-    def signbit(v):
-        return math.copysign(1.0, v) < 0.0
-
-    xpre, xcur, fpre, fcur = a, b, float(fa), float(fb)
-    xblk = fblk = spre = scur = 0.0
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise NoSolutionError(f"price objective is nan at sigma = {a} or {b}")
-    if fpre == 0.0:
-        return xpre, fpre
-    if fcur == 0.0:
-        return xcur, fcur
-    if signbit(fpre) == signbit(fcur):
-        raise NoSolutionError(f"price objective has one sign at sigma = {a} and {b}")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and signbit(fpre) != signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, fcur
-        stry = math.inf  # bisect unless a short interpolated step is found
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
+            return sigma
+        if resid < 0.0:
+            lo = sigma
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            raise NoSolutionError(f"price objective is nan at sigma = {xcur}")
-    raise NoSolutionError(f"no implied volatility within {maxiter} Brent steps; last sigma = {xcur}")
+            hi = sigma
+        # the step -resid P / vega; a capped exponent still steps past any
+        # bracket, so a vanishing vega bisects instead of overflowing
+        step = -resid * math.exp(min(log_price - _log_vega(market, K, sigma), 700.0))
+        new = sigma + step if lo < sigma + step < hi else 0.5 * (lo + hi)
+        if abs(new - sigma) <= 1e-15 * new:
+            return new
+        sigma = new
+    raise NoSolutionError(f"no implied volatility within {_MAX_STEPS} steps; last sigma = {sigma}")

@@ -26,13 +26,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln, ive
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaln, ive
 
 from atomvol.blackscholes import MarketSlice, OptionQuote, implied_vol
 from atomvol.errors import DomainError, QuadratureError, positive, positive_check, refuse, unit
 from atomvol.wing import AtomModel
 
-__all__ = ["CevParams", "CevModel", "reg_inc_gamma", "reg_inc_gamma_upper"]
+__all__ = ["CevParams", "CevModel", "reg_inc_gamma", "reg_inc_gamma_upper", "sigma_for_mass"]
 
 _EPSABS = 1e-14
 _EPSREL = 1e-11
@@ -67,6 +67,16 @@ def reg_inc_gamma_upper(a: float, y: float) -> float:
     relative accuracy where Q is far below the double epsilon.
     """
     return float(gammaincc(*_gamma_args("reg_inc_gamma_upper", a, y)))
+
+
+def sigma_for_mass(mass: float, rho: float = 0.6, s0: float = 0.05, T: float = 1.2) -> float:
+    """The CEV sigma whose atom at zero has the given mass at T, in closed form:
+    sigma = 1/sqrt(2 T khat (1-rho)^2), khat = Q^{-1}(nu, mass) / s0^{2(1-rho)},
+    nu = 1/(2(1-rho)), Q the regularized upper incomplete gamma function.
+    The defaults are the documented s0, rho and T of the comparisons."""
+    one = 1.0 - unit("rho", rho)
+    khat = float(gammainccinv(1.0 / (2.0 * one), unit("mass", mass))) / positive("s0", s0) ** (2.0 * one)
+    return 1.0 / math.sqrt(2.0 * positive("T", T) * khat * one * one)
 
 
 @dataclass(frozen=True)
@@ -224,7 +234,8 @@ class CevModel:
         A bad K raises DomainError in a 0-d call, gives NaN in an array."""
         shape, K = np.shape(K), np.asarray(K, dtype=float).ravel()
         bad, error = positive_check(f"{label} strike", K)
-        y = self._khat * np.where(bad, 1.0, K) ** (2.0 * self._one_m_rho)
+        K = np.where(bad, 1.0, K)  # a stand-in strike, so a refused one raises no warning
+        y = self._khat * K ** (2.0 * self._one_m_rho)
         shape_w, w, shape_p, p = self._series
         out, step = np.empty(K.size), max(1, _BLOCK_SIZE // w.size)
         for i in range(0, K.size, step):

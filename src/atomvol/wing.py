@@ -265,13 +265,13 @@ def smile_three_term_G(market: MarketSlice, K: float, model: AtomModel) -> float
 def _sqrt_form(T: float, L, u):
     """sqrt(2/T) * sqrt(L + H(u; L)), H(u; L) = u^2 + u sqrt(u^2 + 2L).
 
-    H is increasing in u on the valid branch of the U_K inverse, where
-    the radicand is nonnegative.
+    The square root equals (u + z)/sqrt(2), z = sqrt(u^2 + 2L), so this
+    is (u + z)/sqrt(T); where u < 0 that sum cancels, and 2L/(z + |u|),
+    equal to it there, keeps full relative accuracy.  A 0-d call gives a
+    float.
     """
-    radicand = L + (u * u + u * np.sqrt(u * u + 2.0 * L))
-    if np.any(radicand < 0.0):  # cannot happen on the valid branch
-        raise AssertionError(f"negative radicand {radicand} in sqrt form")
-    return _SQRT2 / math.sqrt(T) * np.sqrt(radicand)
+    z = np.sqrt(u * u + 2.0 * L)
+    return np.where(u < 0.0, 2.0 * L / (z + np.abs(u)), u + z) / math.sqrt(T)
 
 
 def smile_sqrt_form(market: MarketSlice, K: float, model: AtomModel) -> float:
@@ -317,21 +317,17 @@ def smile_bounds(
     return _sqrt_form(market.T, L, u_k_inv(g_eps, L)), _sqrt_form(market.T, L, u1)
 
 
-def _dmhj(T: float, L, a: float):
-    sqT = math.sqrt(T)
-    return _SQRT2 / sqT * np.sqrt(L) + a / sqT + _SQRT2 * a * a / (4.0 * sqT) / np.sqrt(L)
-
-
 def smile_dmhj(market: MarketSlice, K: float, mass: float) -> float:
     """De Marco-Hillairet-Jacquier expansion using the plain normal quantile:
 
         sqrt(2/T) L^(1/2) + N^{-1}(mass)/sqrt(T)
-            + sqrt(2) N^{-1}(mass)^2 / (4 sqrt(T)) L^(-1/2).
+            + sqrt(2) N^{-1}(mass)^2 / (4 sqrt(T)) L^(-1/2),
 
-    The residual error function of that formula is not evaluated here.
+    the three-term expansion with N^{-1}(mass) in place of u.  The
+    residual error function of that formula is not evaluated here.
     """
     L = _wing_depth(market, K)
-    return _dmhj(market.T, L, norm_cdf_inv(mass))
+    return _three_term(market.T, L, norm_cdf_inv(mass))
 
 
 def smile_grid(market: MarketSlice, K, model: AtomModel, groups,
@@ -365,7 +361,7 @@ def smile_grid(market: MarketSlice, K, model: AtomModel, groups,
     T, out = market.T, {}
     if approx:
         out["three_term_atom"], out["three_term_G"] = _three_term(T, L, u["mass"]), _three_term(T, L, u["G"])
-        out["dmhj"] = _dmhj(T, L, a)
+        out["dmhj"] = _three_term(T, L, a)
         if model.put is not None:
             out["leading"] = smile_leading(market, K, P)
         if wanted["p_T"]:

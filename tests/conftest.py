@@ -2,7 +2,7 @@
 
 The printed configuration is the documented parameter set (s0=0.05,
 T=1.2, rho=0.6, sigma=0.2).  The reference configuration keeps s0, T
-and rho but sets sigma, in closed form (sigma_for_mass), so that the
+and rho but sets sigma, in closed form (atomvol.sigma_for_mass), so that the
 mass at zero equals 0.0707, the anchor value of the comparison
 experiments; it is the sigma of tools/cli_digest.py's reference
 requests, bit for bit.  The printed sigma does not reproduce that
@@ -15,16 +15,14 @@ own caches moved to the system temp directory, a test run writes no
 .hypothesis/ directory into the checkout.
 """
 
-import math
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
-from scipy.special import gammainccinv
 
-from atomvol import CevModel, CevParams
+from atomvol import CevModel, CevParams, sigma_for_mass
 
 PRINTED_PARAMS = CevParams(s0=0.05, sigma=0.2, rho=0.6, T=1.2)
 ANCHOR_MASS = 0.0707
@@ -32,15 +30,6 @@ ANCHOR_MASS = 0.0707
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "atomvol-hypothesis")
 settings.register_profile("atomvol", derandomize=True, deadline=None, database=None)
 settings.load_profile("atomvol")
-
-
-def sigma_for_mass(mass: float, rho: float = 0.6, s0: float = 0.05, T: float = 1.2) -> float:
-    """The CEV sigma whose atom at zero has the given mass at T, in closed form:
-    sigma = 1/sqrt(2 T khat (1-rho)^2), khat = Q^{-1}(nu, mass) / s0^{2(1-rho)},
-    nu = 1/(2(1-rho)), Q the regularized upper incomplete gamma function."""
-    one = 1.0 - rho
-    khat = float(gammainccinv(1.0 / (2.0 * one), mass)) / s0 ** (2.0 * one)
-    return 1.0 / math.sqrt(2.0 * T * khat * one * one)
 
 
 @pytest.fixture(scope="session")

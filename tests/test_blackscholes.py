@@ -10,9 +10,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from atomvol.blackscholes import _brent, _log_otm_price
+import atomvol.blackscholes as blackscholes
+from atomvol.blackscholes import _log_otm_price
 
 from atomvol import (
     MarketSlice,
@@ -210,89 +210,49 @@ class TestImpliedVol:
         sigma = implied_vol(market, OptionQuote(K, "put", price))
         assert bs_price(market, K, sigma, "put") == pytest.approx(price, rel=1e-12)
 
+    def test_round_trip_grid_prices_fewer_times(self, monkeypatch):
+        # test_round_trip_grid's 42 quotes took 606 prices with Brent and its
+        # Newton polish; the safeguarded Newton loop takes 421
+        quotes = []
+        for T in [0.1, 1.2, 5.0]:
+            market = MarketSlice(x0=1.0, T=T)
+            for log_m in [-8.0, -3.0, -0.1, 0.0]:
+                K = math.exp(log_m)
+                for sigma in [0.05, 0.3, 1.0, 2.5]:
+                    price = bs_price(market, K, sigma, "put")
+                    if 0.0 < price < K:
+                        quotes.append((market, OptionQuote(K, "put", price)))
+        calls = []
 
-def traced(f):
-    """f, recording every point it is called at in its .xs list."""
+        def counted(*args):
+            calls.append(args)
+            return _log_otm_price(*args)
 
-    def g(x):
-        g.xs.append(x)
-        return f(x)
+        monkeypatch.setattr(blackscholes, "_log_otm_price", counted)
+        for market, quote in quotes:
+            implied_vol(market, quote)
+        assert len(quotes) == 42
+        assert len(calls) < 606
 
-    g.xs = []
-    return g
-
-
-def brent_and_reference(f, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=200):
-    """(_brent's (root, f(root)), brentq's root), each solver's calls traced;
-    brentq evaluates a and b itself, _brent is handed their values."""
-    ours, ref = traced(f), traced(f)
-    got = _brent(ours, a, b, f(a), f(b), xtol, rtol, maxiter)
-    expected = brentq(ref, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
-    assert ours.xs == ref.xs[2:]  # the same steps, not only the same root
-    return got, expected
-
-
-class TestBrent:
-    # scipy.optimize.brentq is the reference: _brent runs its steps in Python floats
-
-    @given(
-        log_x0=st.floats(-7.0, 7.0),
-        T=st.floats(1e-3, 10.0),
-        k=st.floats(-60.0, 5.0),
-        sigma=st.floats(1e-3, 5.0),
+    @pytest.mark.parametrize(
+        "market, quote, message",
+        [
+            (MarketSlice(1.0, 1.0), OptionQuote(1.0, "put", 1e-12), "above sigma = 1e-9"),
+            (MarketSlice(1.0, 1e-20), OptionQuote(1.0, "put", 0.9999999), "below sigma = 1e9"),
+            (MarketSlice(1.0, 1e-20), OptionQuote(1.0, "call", 0.9999999), "below sigma = 1e9"),
+        ],
     )
-    def test_matches_brentq_on_implied_vol_objective(self, log_x0, T, k, sigma):
-        # implied_vol's objective and bracket, on an out-of-the-money quote
-        market = MarketSlice(x0=math.exp(log_x0), T=T)
-        K = market.x0 * math.exp(k)
-        log_target = _log_otm_price(market, K, sigma)
-        assume(math.isfinite(log_target))
+    def test_price_not_attainable(self, market, quote, message):
+        with pytest.raises(NoSolutionError, match=f"not attainable {message}"):
+            implied_vol(market, quote)
 
-        def objective(s):
-            return _log_otm_price(market, K, s) - log_target
-
-        lo, hi = 1e-9, 10.0
-        assume(objective(lo) < 0.0)
-        while objective(hi) < 0.0:
-            hi *= 2.0
-        (root, f_root), expected = brent_and_reference(objective, lo, hi)
-        assert root == expected
-        assert f_root == objective(root)
-
-    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.0, 1.0)])
-    def test_root_at_an_endpoint_is_returned_as_is(self, a, b):
-        (root, f_root), expected = brent_and_reference(lambda x: x - 1.0, a, b)
-        assert (root, f_root) == (expected, 0.0) == (1.0, 0.0)
-
-    def test_bracket_without_sign_change(self):
-        with pytest.raises(NoSolutionError, match="one sign"):
-            _brent(lambda x: x - 5.0, 0.0, 1.0, -5.0, -4.0, 1e-12, 8.9e-16, 200)
-
-    def test_nan_objective(self):
-        with pytest.raises(NoSolutionError, match="nan"):
-            _brent(lambda x: x, 0.0, 1.0, math.nan, 1.0, 1e-12, 8.9e-16, 200)
-        def nan_inside(x):
-            return math.nan if 0.2 < x < 0.8 else x - 0.5
-
-        # the first step bisects to 0.5
-        with pytest.raises(NoSolutionError, match="nan at sigma = 0.5"):
-            _brent(nan_inside, 0.0, 1.0, -0.5, 0.5, 1e-12, 8.9e-16, 200)
-
-    @pytest.mark.parametrize("maxiter", [0, 2])
-    def test_exhausted_steps(self, maxiter):
-        with pytest.raises(RuntimeError):
-            brentq(lambda x: x**3 - 0.5, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16, maxiter=maxiter)
-        with pytest.raises(NoSolutionError, match=f"within {maxiter} Brent steps"):
-            _brent(lambda x: x**3 - 0.5, 0.0, 1.0, -0.5, 0.5, 1e-12, 8.9e-16, maxiter)
-
-    def test_zero_denominator_bisects(self):
-        # f near 1e-300 makes the slope product dblk * dpre of each inverse
-        # quadratic step underflow to 0; C divides by it to inf or nan, which
-        # fails the step test, and _brent bisects instead of raising
-        assert 1e-300 * 1e-300 == 0.0
-        (root, f_root), expected = brent_and_reference(lambda x: 1e-300 * (x**3 - 0.5), 0.0, 1.0)
-        assert root == expected
-        assert abs(root - 0.5 ** (1.0 / 3.0)) < 1e-12
+    @pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
+    def test_long_maturity_steps_where_vega_vanishes(self, K):
+        # the at-the-money seed is 0, so the loop starts at the bracket's
+        # midpoint 5, where sigma sqrt(T) = 500 and P / vega overflows a double
+        market = MarketSlice(x0=1.0, T=1e4)
+        price = bs_price(market, K, 0.01, "put")
+        assert implied_vol(market, OptionQuote(K, "put", price)) == pytest.approx(0.01, rel=1e-12)
 
 
 class TestVega:

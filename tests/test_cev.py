@@ -6,6 +6,7 @@ against the independent density quadrature."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import atomvol.cev as cev
-from atomvol import CevModel, CevParams, g_from_put
+from atomvol import CevModel, CevParams, g_from_put, sigma_for_mass
 from atomvol.errors import DomainError, QuadratureError
 
 # configuration B: moderate parameters with closed-form mass e^{-8}
@@ -87,6 +88,18 @@ class TestMass:
         assert CevModel(params).mass == pytest.approx(
             2.2336314362031661e-10, rel=1e-13, abs=0.0
         )
+
+    @pytest.mark.parametrize(
+        "mass, rho, s0, T", [(0.0707, 0.6, 0.05, 1.2), (0.3, 0.45, 0.05, 1.2), (1e-6, 0.8, 2.0, 0.5)]
+    )
+    def test_sigma_for_mass_round_trip(self, mass, rho, s0, T):
+        sigma = sigma_for_mass(mass, rho, s0, T)
+        assert CevModel(CevParams(s0=s0, sigma=sigma, rho=rho, T=T)).mass == pytest.approx(mass, rel=1e-12)
+
+    @pytest.mark.parametrize("mass, rho", [(0.0, 0.6), (1.0, 0.6), (math.nan, 0.6), (0.1, 1.0)])
+    def test_sigma_for_mass_domain(self, mass, rho):
+        with pytest.raises(DomainError):
+            sigma_for_mass(mass, rho)
 
 
 class TestDensity:
@@ -290,6 +303,15 @@ class TestSeriesOracle:
             quad_cdf = scale / K * model._quad(lambda x: K / scale, 0.0, u_hi, "p_tilde")
             assert put == pytest.approx(quad_put, rel=1e-9, abs=tiny)
             assert cdf == pytest.approx(quad_cdf, rel=1e-9, abs=tiny)
+
+    def test_refused_strike_in_an_array_raises_no_warning(self):
+        # the mass underflows to 0, and the put formula took inf * 0 at the
+        # strike inf, warning before that cell was refused to NaN
+        model = CevModel(CevParams(s0=100.0, sigma=0.125 * 100.0**0.25, rho=0.75, T=0.25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            put = model.put_price(np.array([100.0 * math.exp(-1.0), math.inf]))
+        assert model.mass == 0.0 and math.isnan(put[1])
 
     def test_chunked_blocks_equal_scalar_calls(self, printed_model, monkeypatch):
         # blocks of two strikes: a chunk boundary moves no bit, and the

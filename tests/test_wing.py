@@ -4,6 +4,7 @@ that relate the perturbed and plain normal quantiles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -370,6 +371,18 @@ class TestBounds:
         K = 0.05 * math.exp(-6.0)
         _, upper = smile_bounds(market, K, model)
         assert upper == pytest.approx(smile_sqrt_form(market, K, model), rel=1e-14)
+
+    @pytest.mark.parametrize("u, L", [(-20.0, 0.5), (-37.0, 2.0)])
+    def test_sqrt_form_keeps_precision_far_left(self, u, L):
+        # u + sqrt(u^2 + 2L) cancels for u << 0; the reference is the
+        # radicand form sqrt(2/T) sqrt(L + u^2 + u sqrt(u^2 + 2L)) at 50 digits
+        T = 1.2
+        with mpmath.workdps(50):
+            u_, L_ = mpmath.mpf(u), mpmath.mpf(L)
+            exact = mpmath.sqrt(2 / mpmath.mpf(T)) * mpmath.sqrt(L_ + u_ * u_ + u_ * mpmath.sqrt(u_ * u_ + 2 * L_))
+            value = wing._sqrt_form(T, L, u)
+            assert isinstance(value, float)
+            assert abs(value - exact) <= 1e-14 * exact
 
     def test_epsilon_tightens_lower(self, reference_model):
         market = reference_model.market()

@@ -1,13 +1,15 @@
 """Digest the CLI's answers to a fixed request set, to compare two source trees.
 
-    python3 tools/cli_digest.py --src <tree>/src > digests.txt
+    python3 tools/cli_digest.py --src <tree>/src [--outputs outputs.json] > digests.txt
 
 Each request prints one line: its name, its exit code, and the SHA-256
 of its standard output and of its standard error.  The last three lines
 digest the exit codes, the stdout digests and the stderr digests over
 all requests, so two trees that print the same "stdout" line gave the
 same bytes on every request, and a diff of two runs names the requests
-that differ.
+that differ.  With --outputs, the run also writes every request's name,
+exit code, stdout and stderr to a JSON file, for tools/cli_drift.py to
+measure how far two trees' numbers moved.
 
 The requests are the perfbench request sets, built by
 perfbench/workloads.py (read, not edited): oracle_grid, atom_wing and
@@ -37,6 +39,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -165,7 +168,10 @@ def _sha(text: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="the src directory of the tree to run")
-    src = Path(parser.parse_args().src).resolve()
+    parser.add_argument("--outputs", metavar="FILE", help="also write every request's output to FILE as JSON")
+    args = parser.parse_args()
+    src = Path(args.src).resolve()
+    outputs_path = Path(args.outputs).resolve() if args.outputs else None
     sys.path.insert(0, str(src))
     sys.path.insert(1, str(ROOT / "perfbench"))
     import atomvol.cli
@@ -175,6 +181,7 @@ def main() -> int:
         sys.exit(f"cli_digest: imported atomvol from {atomvol.cli.__file__}, not from {src}")
     home = os.getcwd()
     totals = {"exit": [], "stdout": [], "stderr": []}
+    outputs = []
     with tempfile.TemporaryDirectory(prefix="cli_digest-") as work:
         os.chdir(work)
         try:
@@ -182,6 +189,7 @@ def main() -> int:
             runs += [(f"test_cli/{i}", argv) for i, argv in enumerate(_test_runs(workloads))]
             for name, argv in runs:
                 code, out, err = _call(atomvol.cli.main, argv)
+                outputs.append({"name": name, "exit": code, "stdout": out, "stderr": err})
                 digests = (str(code), _sha(out), _sha(err))
                 for total, value in zip(totals.values(), digests):
                     total.append(value)
@@ -190,6 +198,8 @@ def main() -> int:
             os.chdir(home)
     for name, values in totals.items():
         print(name, _sha("\n".join(values)))
+    if outputs_path:
+        outputs_path.write_text(json.dumps(outputs))
     return 0
 
 
