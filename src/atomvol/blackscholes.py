@@ -70,10 +70,16 @@ def log_norm_cdf(x):
 
 
 def d1_d2(market: MarketSlice, strike: float, sigma: float) -> tuple[float, float]:
-    """The d1, d2 arguments of the Black-Scholes formula; d1 - d2 = sigma*sqrt(T)."""
+    """The d1, d2 arguments of the Black-Scholes formula; d1 - d2 = sigma*sqrt(T).
+
+    log(x0/K) is taken as log(x0) - log(K) only where x0/K under- or
+    overflows, so that every other moneyness keeps its bits.
+    """
     K = positive("strike", strike)
     st = positive("sigma", sigma) * math.sqrt(market.T)
-    d1 = (math.log(market.x0 / K) + 0.5 * st * st) / st
+    ratio = market.x0 / K
+    log_m = math.log(ratio) if 0.0 < ratio < math.inf else math.log(market.x0) - math.log(K)
+    d1 = (log_m + 0.5 * st * st) / st
     return d1, d1 - st
 
 

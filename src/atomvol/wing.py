@@ -51,9 +51,6 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT2 = math.sqrt(2.0)
 
-_INV_TOL_X = 1e-13
-_INV_MAX_ITER = 200
-
 
 def norm_cdf(x):
     """Standard normal cumulative distribution function N(x).
@@ -111,43 +108,36 @@ def _u_k_left_edge(L):
 def u_k_inv(y, L):
     """Inverse of U_K at depth L on its increasing branch [-sqrt(2L), inf).
 
-    Bisection against U_K: monotone, derivative-free, robust next to the
-    left endpoint where the derivative of U_K vanishes.  y and L
-    broadcast.  Every element bisects its own bracket and stops on its
-    own (width below 1e-13, at most 200 halvings), so an array call
-    equals the scalar calls bit for bit.  A scalar call raises
+    Bisection, monotone and derivative-free, so robust next to the left
+    endpoint where the derivative of U_K vanishes, on a closed-form
+    bracket.  With a = N^{-1}(y) and c = 1/sqrt(2L), U_K = N - c phi.
+    lo = max(-sqrt(2L), a) has U_K(lo) <= y, as U_K < N and a level
+    below U_K(-sqrt(2L)) is refused.  hi = min(max(a, 0) + c, 40) has
+    U_K(hi) >= y: for h = max(a, 0) + c, phi decreases on [h - c, h], so
+    N(h) - N(a) >= c phi(h); and U_K(40) is 1 in double.  A level y > 0
+    has a >= N^{-1}(5e-324), about -38.4, and one y <= 0 is bisected only
+    above U_K(-sqrt(2L)) < 0, which needs exp(-L) > 0, so -sqrt(2L) >
+    -38.7.  So 50 halvings leave a width below 7e-14 at every depth L > 0.
+    Every element takes the same steps, so an array call equals the
+    scalar calls bit for bit.  y and L broadcast.  A scalar call raises
     DomainBelowError for y below U_K(-sqrt(2L)) (the strike is not deep
     enough for that level), DomainAboveError for y >= 1 and DomainError
     for a nan level or a bad depth; an array call gives NaN there.
     """
     shape, y, L, depth_check = _flat(y, L)
-    lo, lo_val = _u_k_left_edge(L)
+    edge, edge_val = _u_k_left_edge(L)
     checks = [depth_check, (np.isnan(y), lambda: DomainError("u_k_inv requires a level, got nan")),
               (y >= 1.0, lambda: DomainAboveError(f"u_k_inv requires y < 1, got {y[0]}")),
-              (y < lo_val, lambda: DomainBelowError(f"u_k_inv: y={y[0]} below U_K at the left "
-                                                    f"endpoint ({lo_val[0]:.6g}) for L={L[0]:.6g}"))]
-    at_edge = y == lo_val
-    active = ~np.logical_or.reduce([at_edge] + [bad for bad, _ in checks])
-
-    # U_K < N pointwise, so the root sits above N^{-1}(y); seed a bracket
-    # from the normal quantile (of a level inside (0, 1)), never left of
-    # the branch, and expand until it straddles.
+              (y < edge_val, lambda: DomainBelowError(f"u_k_inv: y={y[0]} below U_K at the left "
+                                                      f"endpoint ({edge_val[0]:.6g}) for L={L[0]:.6g}"))]
+    a = ndtri(y)  # -inf or nan at a level y <= 0, where fmax picks the other side
+    lo, hi = np.fmax(edge, a), np.minimum(np.fmax(a, 0.0) + 1.0 / np.sqrt(2.0 * L), 40.0)
     scale = 2.0 * _SQRT_PI * np.sqrt(L)
-    hi = np.maximum(ndtri(np.minimum(np.maximum(y + 0.1, 0.05), 1.0 - 1e-16)) + 1.0, lo)
-    short = active & (_u(hi, scale) < y)
-    while np.count_nonzero(short):
-        np.add(hi, 1.0, out=hi, where=short)
-        short &= _u(hi, scale) < y
-
-    for _ in range(_INV_MAX_ITER):
-        if not np.count_nonzero(active):
-            break
+    for _ in range(50):
         mid = 0.5 * (lo + hi)
         below = _u(mid, scale) < y
-        np.copyto(lo, mid, where=active & below)
-        np.copyto(hi, mid, where=active > below)  # active and not below
-        active &= hi - lo >= _INV_TOL_X
-    return refuse(shape, np.where(at_edge, lo, 0.5 * (lo + hi)), checks)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return refuse(shape, np.where(y == edge_val, edge, 0.5 * (lo + hi)), checks)
 
 
 def g_from_put(put_evaluator: Callable[[float], float], K: float) -> float:

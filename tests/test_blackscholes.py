@@ -94,6 +94,12 @@ class TestBsPrice:
             lognormal_call_quadrature(1.0, 0.6, 1.2, 0.5), rel=1e-10
         )
 
+    def test_deep_in_the_money_put_where_moneyness_underflows(self):
+        # x0/K = 1e-400 underflows to 0, so d1 takes log(x0) - log(K)
+        market = MarketSlice(1e-200, 1.0)
+        assert bs_price(market, 1e200, 0.2, "put") == pytest.approx(1e200 - 1e-200, rel=1e-15)
+        assert vega(market, 1e200, 0.2) == 0.0
+
     def test_put_call_parity(self):
         market = MarketSlice(x0=1.3, T=2.0)
         for K in [0.2, 0.9, 1.3, 2.5]:

@@ -127,14 +127,15 @@ class TestUKInv:
                 u_k_inv(0.3, L)
 
     @given(
-        L=st.floats(1e-3, 1e4),
+        L=st.floats(1e-3, 1e300),
         a=st.one_of(st.integers(0, 8), st.floats(0.0, 1.0)),
         b=st.one_of(st.integers(0, 8), st.floats(0.0, 1.0)),
     )
-    # below L of about 0.21 the seed N^{-1}(y+0.1)+1 lies left of the
-    # edge -sqrt(2L); at L=0.1 the level one ulp above U_K(edge) must
-    # still come back on the branch
+    # the level one ulp above U_K(edge) must come back on the branch, next
+    # to the edge where the derivative of U_K vanishes
     @example(L=0.1, a=1, b=2)
+    # at L=1e300 the edge -sqrt(2L) is 1e150 below the root
+    @example(L=1e300, a=0.3, b=1)
     def test_inverse_property(self, L, a, b):
         # a level is either a few ulps above U_K(edge) (an integer draw)
         # or a fraction of the way from U_K(edge) up to 1 (a float draw)
