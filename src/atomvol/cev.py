@@ -133,7 +133,10 @@ class CevModel:
         # where sigma**2 underflows to 0 or overflows, and Bessel order 1/(2(1-rho))
         self._khat = 1.0 / positive("CEV scale 2 T sigma^2 (1-rho)^2", 2.0 * T * sigma2 * self._one_m_rho**2)
         self.bessel_order = 1.0 / (2.0 * self._one_m_rho)
-        self._u0 = s0 ** (2.0 * self._one_m_rho)
+        try:
+            self._u0 = s0 ** (2.0 * self._one_m_rho)
+        except OverflowError as exc:
+            raise DomainError(f"s0^(2(1-rho)) overflows at s0={s0}, rho={rho}") from exc
         self.gamma_args = (self.bessel_order, self._khat * self._u0)
         # Q(nu, lambda) directly: 1 - P(nu, lambda) cancels to 0 for tiny masses
         self.mass = reg_inc_gamma_upper(*self.gamma_args)

@@ -287,7 +287,7 @@ _COLUMN_GROUPS = {
 def _table_for_command(command: str, cfg: RunConfig) -> dict[str, np.ndarray]:
     """One float array over the strikes per COLUMNS name, NaN where a cell
     is undefined at its strike; with a put model also the unprinted "put"
-    prices that fed leading and G, which the exact smile inverts."""
+    prices that fed leading, G and exact_iv."""
     if cfg.k_grid is None:
         raise ConfigError(f"{command} requires a [grid] section")
     if command == "compare" and cfg.cev_model is None:
@@ -305,9 +305,9 @@ def _table_for_command(command: str, cfg: RunConfig) -> dict[str, np.ndarray]:
     if groups:
         table |= smile_grid(cfg.market, strikes, cfg.atom, groups, cfg.bounds)
     if "exact" in groups:
-        exact = table["exact_iv"] = np.array(
-            [cfg.cev_model.put_implied_vol(K, put) for K, put in zip(strikes, table["put"].tolist())]
-        )
+        exact = table["exact_iv"]
+        for i in np.flatnonzero(np.isnan(exact)):  # implied_vol raises the error to report, or fills the cell
+            exact[i] = cfg.cev_model.put_implied_vol(strikes[i], float(table["put"][i]))
         table["err_three_term"] = np.abs(table["three_term_atom"] - exact)
         table["err_dmhj"] = np.abs(table["dmhj"] - exact)
     if not with_mc:

@@ -57,9 +57,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from atomvol.blackscholes import MarketSlice, OptionQuote, implied_vol
+from atomvol.blackscholes import implied_vol  # noqa: F401 (perfbench/layers.py wraps it by name)
 from atomvol.cev import CevParams
-from atomvol.errors import DomainError, NoSolutionError, integer, positive
+from atomvol.errors import DomainError, integer, positive
+from atomvol.wing import _sqrt_form, u_k_inv
 
 __all__ = [
     "McConfig",
@@ -305,29 +306,24 @@ def mc_smile(
     """Normalized Monte Carlo smile k -> iv(k) * sqrt(T) / |k| on the left wing.
 
     One terminal sample serves the whole grid, and one payoff buffer
-    prices every strike (see _put_prices).  Strikes are K = s0*e^k
-    with k < 0; put prices outside (0, K) yield undefined entries.
+    prices every strike (see _put_prices).  Strikes are K = s0*e^k with
+    k < 0; one u_k_inv call inverts their exact put levels P/K, at the
+    depths blackscholes.d1_d2 takes, held at the least double where K
+    rounds to s0.  Put prices outside (0, K) yield undefined entries.
     """
     k_grid = [float(k) for k in k_grid]
     if any(k >= 0.0 for k in k_grid):
         raise DomainError("mc_smile expects negative log-moneyness values")
     sample = simulate_terminals(params, cfg)
     n_absorbed = int(np.count_nonzero(sample == 0.0))
-    market = MarketSlice(x0=params.s0, T=params.T)
-    sqT = math.sqrt(params.T)
     strikes = [params.s0 * math.exp(k) for k in k_grid]
-    estimates = []
-    for k, K, (price, std_err) in zip(k_grid, strikes, _put_prices(sample, strikes)):
-        normalized = None
-        if 0.0 < price < K:
-            try:
-                iv = implied_vol(market, OptionQuote(K, "put", price))
-                normalized = iv * sqT / abs(k)
-            except NoSolutionError:
-                normalized = None
-        estimates.append(
-            McSmileEstimate(
-                k=k, normalized_iv=normalized, std_err=std_err, n_absorbed=n_absorbed
-            )
-        )
-    return estimates
+    price, std_err = np.array(_put_prices(sample, strikes)).T
+    K = np.array(strikes)
+    with np.errstate(over="ignore"):  # where s0/K overflows, and inf where |k| is subnormal
+        ratio = params.s0 / K
+        L = np.fmax(np.where(ratio < math.inf, np.log(ratio), np.log(params.s0) - np.log(K)), 5e-324)
+        normalized = _sqrt_form(1.0, L, u_k_inv(price / K, L, exact=True)) / -np.array(k_grid)
+    return [
+        McSmileEstimate(k=k, normalized_iv=None if math.isnan(v) else v, std_err=se, n_absorbed=n_absorbed)
+        for k, v, se in zip(k_grid, normalized.tolist(), std_err.tolist())
+    ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import erfcx, ndtr, ndtri
 
 from atomvol.blackscholes import MarketSlice
 from atomvol.errors import (
@@ -105,7 +105,7 @@ def _u_k_left_edge(L):
     return edge, norm_cdf(edge) - np.exp(-L) / (2.0 * _SQRT_PI * np.sqrt(L))
 
 
-def u_k_inv(y, L):
+def u_k_inv(y, L, *, exact=False):
     """Inverse of U_K at depth L on its increasing branch [-sqrt(2L), inf).
 
     Bisection, monotone and derivative-free, so robust next to the left
@@ -123,21 +123,34 @@ def u_k_inv(y, L):
     DomainBelowError for y below U_K(-sqrt(2L)) (the strike is not deep
     enough for that level), DomainAboveError for y >= 1 and DomainError
     for a nan level or a bad depth; an array call gives NaN there.
+
+    exact, a mask broadcast with y and L, marks Black-Scholes put levels
+    G = P/K at depth L = log(x0/K): they invert W = N - phi R(z), with
+    the Mills ratio R(z) = N(-z)/phi(z), z = sqrt(x^2 + 2L), in place of
+    c, and give sigma sqrt(T) = x + z (_sqrt_form).  W rises from 0 over
+    the whole line and U_K < W < N, so lo = a with the same hi and width
+    bound; an exact level outside (0, 1) is refused as above.
     """
     shape, y, L, depth_check = _flat(y, L)
+    exact = np.broadcast_to(exact, shape).ravel()
     edge, edge_val = _u_k_left_edge(L)
+    least = np.where(exact, 5e-324, edge_val)
     checks = [depth_check, (np.isnan(y), lambda: DomainError("u_k_inv requires a level, got nan")),
               (y >= 1.0, lambda: DomainAboveError(f"u_k_inv requires y < 1, got {y[0]}")),
-              (y < edge_val, lambda: DomainBelowError(f"u_k_inv: y={y[0]} below U_K at the left "
-                                                      f"endpoint ({edge_val[0]:.6g}) for L={L[0]:.6g}"))]
+              (y < least, lambda: DomainBelowError(f"u_k_inv: y={y[0]} below the least level "
+                                                   f"({least[0]:.6g}) for L={L[0]:.6g}"))]
     a = ndtri(y)  # -inf or nan at a level y <= 0, where fmax picks the other side
-    lo, hi = np.fmax(edge, a), np.minimum(np.fmax(a, 0.0) + 1.0 / np.sqrt(2.0 * L), 40.0)
-    scale = 2.0 * _SQRT_PI * np.sqrt(L)
+    # an exact level has no edge; -40 and 40 stand in where it is refused
+    lo = np.fmax(np.where(exact, -40.0, edge), np.minimum(a, 40.0))
+    hi = np.minimum(np.fmax(a, 0.0) + 1.0 / np.sqrt(2.0 * L), 40.0)
+    scale, rows = 2.0 * _SQRT_PI * np.sqrt(L), np.flatnonzero(exact)
     for _ in range(50):
         mid = 0.5 * (lo + hi)
+        if rows.size:  # phi(x) R(z) = exp(-x^2/2) erfcx(sqrt(x^2/2 + L))/2
+            scale[rows] = 2.0 / erfcx(np.sqrt(0.5 * mid[rows] ** 2 + L[rows]))
         below = _u(mid, scale) < y
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return refuse(shape, np.where(y == edge_val, edge, 0.5 * (lo + hi)), checks)
+    return refuse(shape, np.where((y == edge_val) & ~exact, edge, 0.5 * (lo + hi)), checks)
 
 
 def g_from_put(put_evaluator: Callable[[float], float], K: float) -> float:
@@ -278,7 +291,8 @@ def smile_sqrt_form(market: MarketSlice, K: float, model: AtomModel) -> float:
 
 def _deflated(g: float, a: float, L: float, cfg: BoundsConfig) -> float:
     """The level G_eps of the lower bound of smile_bounds, a = N^{-1}(mass)."""
-    return g - (3.0 * a * a + 2.0 + cfg.epsilon) / (8.0 * _SQRT_PI * np.power(L, 1.5))
+    with np.errstate(over="ignore"):  # a deflation past the double range gives -inf, refused
+        return g - (3.0 * a * a + 2.0 + cfg.epsilon) / (8.0 * _SQRT_PI * np.power(L, 1.5))
 
 
 def smile_bounds(
@@ -323,13 +337,14 @@ def smile_dmhj(market: MarketSlice, K: float, mass: float) -> float:
 def smile_grid(market: MarketSlice, K, model: AtomModel, groups,
                cfg: BoundsConfig = BoundsConfig()) -> dict[str, np.ndarray]:
     """The columns of the "approximations" group (leading with a put,
-    three_term_atom, three_term_G, three_term_pT with a p_tilde, dmhj)
-    and of the "band" group (lower, upper) at the strikes K, for the
-    groups named, from one call of each evaluator and one u_k_inv call.
-    Each is an array over K, equal to the smile_* call at each strike
-    and NaN exactly where that call raises DomainError; other errors
-    propagate.  With a put, "put" holds the put prices x0 put(K/x0) that
-    feed leading and G, NaN off the wing.
+    three_term_atom, three_term_G, three_term_pT with a p_tilde, dmhj),
+    of the "band" group (lower, upper) and, with a put, of the "exact"
+    group (exact_iv) at the strikes K, for the groups named, from one
+    call of each evaluator and one u_k_inv call.  Each approximation is
+    an array over K, equal to the smile_* call at each strike and NaN
+    exactly where that call raises DomainError; other errors propagate.
+    With a put, "put" holds the put prices x0 put(K/x0) that feed leading
+    and G, NaN off the wing; exact_iv inverts them in that u_k_inv call.
     """
     approx, band = "approximations" in groups, "band" in groups
     K = np.asarray(K, dtype=float)
@@ -339,14 +354,16 @@ def smile_grid(market: MarketSlice, K, model: AtomModel, groups,
         L[wing] = np.log(market.x0 / K[wing])
     if model.put is not None:
         P[wing] = model.put(K[wing] / market.x0) * market.x0
-    wanted = {"mass": approx, "G": True, "p_T": approx and model.p_tilde is not None, "G_eps": band}
+    wanted = {"mass": approx, "G": True, "p_T": approx and model.p_tilde is not None, "G_eps": band,
+              "exact": "exact" in groups and model.put is not None}
     if wanted["p_T"]:
         p_T[wing] = model.mass + model.p_tilde(K[wing] / market.x0)
     g = P / K if model.put is not None else np.full(K.size, model.mass)
     a = norm_cdf_inv(model.mass)
-    level = {"mass": np.full(K.size, model.mass), "G": g, "p_T": p_T, "G_eps": _deflated(g, a, L, cfg)}
+    level = dict(mass=np.full(K.size, model.mass), G=g, p_T=p_T, G_eps=_deflated(g, a, L, cfg), exact=g)
     names = [name for name, want in wanted.items() if want]
-    u = dict(zip(names, u_k_inv(np.array([level[name] for name in names]), L)))
+    exact = {"exact": [[name == "exact"] for name in names]} if wanted["exact"] else {}
+    u = dict(zip(names, u_k_inv(np.array([level[name] for name in names]), L, **exact)))
 
     T, out = market.T, {}
     if approx:
@@ -360,6 +377,8 @@ def smile_grid(market: MarketSlice, K, model: AtomModel, groups,
         out["lower"], out["upper"] = _sqrt_form(T, L, u["G_eps"]), _sqrt_form(T, L, u["G"])
         gap = np.isnan(out["lower"] + out["upper"])
         out["lower"][gap] = out["upper"][gap] = math.nan
+    if wanted["exact"]:
+        out["exact_iv"] = _sqrt_form(T, L, u["exact"])
     if model.put is not None:
         out["put"] = P
     return out

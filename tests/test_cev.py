@@ -59,6 +59,12 @@ class TestParams:
         with pytest.raises(DomainError, match="CEV scale"):
             CevModel(params)
 
+    def test_spot_whose_power_overflows(self):
+        # s0**(2(1-rho)) raises OverflowError, refused as a domain error
+        params = CevParams(s0=1e308, sigma=626.77, rho=0.2504, T=4.93e-5)
+        with pytest.raises(DomainError, match="overflows"):
+            CevModel(params)
+
 
 class TestMass:
     def test_documented_parameter_set(self, printed_model):

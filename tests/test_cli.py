@@ -7,6 +7,7 @@ import io
 import math
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -357,10 +358,17 @@ class TestEmptyCells:
             ref = _per_strike_reference(command, market, atom, K, cev_model)
             for name in COLUMNS[2:]:
                 want = "" if ref[name] is None else f"{ref[name]:.17g}"
-                assert record[name] == want, (command, name, k)
+                if name in self.INVERTED and want:
+                    # exact_iv comes from the grid's one u_k_inv call, not from implied_vol
+                    assert math.isclose(float(record[name]), ref[name], **self.INVERTED[name]), (command, name, k)
+                else:
+                    assert record[name] == want, (command, name, k)
                 if want == "":
                     empty.add(name)
         return empty
+
+    # the cells compared to a tolerance; every other cell is compared byte for byte
+    INVERTED = {"exact_iv": {"rel_tol": 1e-13}, "err_three_term": {"abs_tol": 1e-13}, "err_dmhj": {"abs_tol": 1e-13}}
 
     def test_atom_grid_with_nan_table_row(self, capsys, tmp_path):
         # p_tilde interpolates through nan between 1e-12 and 1e-3; at the
@@ -530,6 +538,37 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("config error: invalid CEV model: CEV scale")
+
+    def test_overflowing_spot_power_is_config_error(self, capsys):
+        # s0^(2(1-rho)) = 1e308^1.4992 overflows the doubles
+        code, out, err = run_cli(capsys, [
+            "smile", "--model.s0=1e308", "--model.sigma=626.77", "--model.rho=0.2504", "--model.t=4.93e-5",
+            "--grid.k_min=-1", "--grid.k_max=-0.1", "--grid.n_points=3"])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: invalid CEV model: s0^(2(1-rho)) overflows")
+
+    def test_mc_normalizes_a_subnormal_k_without_a_warning(self, capsys, cev_config, reference_sigma):
+        # at k = -5e-324 the normalization iv sqrt(T)/|k| is inf, and vega refuses that iv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, [
+                "mc", "--config", cev_config, f"--model.sigma={reference_sigma!r}", "--grid.k_min=-700",
+                "--grid.k_max=-5e-324", "--mc.n_paths=2000", "--mc.n_steps=16", "--mc.seed=1"])
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: sigma must be positive and finite, got inf\n"
+
+    def test_compare_deflates_past_the_doubles_without_a_warning(self, capsys, cev_config, reference_sigma):
+        # epsilon = 1e308 deflates the lower bound's level to -inf: the band stays empty
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, [
+                "compare", "--config", cev_config, f"--model.sigma={reference_sigma!r}",
+                "--model.epsilon=1e308", "--grid.k_max=-0.01"])
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        band = [header.index("lower"), header.index("upper")]
+        assert len(rows) == 5 and all(row[i] == "" for row in rows for i in band)
+        assert all(row[header.index("exact_iv")] for row in rows)
 
     @pytest.mark.parametrize("key", ["model.sigam", "output.format"])
     def test_unknown_key_is_config_error(self, capsys, cev_config, key):

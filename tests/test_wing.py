@@ -13,11 +13,16 @@ from hypothesis import strategies as st
 from atomvol import (
     AtomModel,
     BoundsConfig,
+    CevModel,
+    CevParams,
     MarketSlice,
+    OptionQuote,
     estims_ratio,
     g_from_put,
+    implied_vol,
     norm_cdf,
     norm_cdf_inv,
+    sigma_for_mass,
     sign_classify,
     smile_bounds,
     smile_dmhj,
@@ -193,6 +198,53 @@ class TestUKInvGrid:
         ys = np.array([0.01, 0.07, 0.3, 0.9])
         grid = u_k_inv(ys, 8.0)
         assert grid.tolist() == [u_k_inv(y, 8.0) for y in ys]
+
+
+class TestUKInvExact:
+    """The exact rows of u_k_inv: Black-Scholes put levels G = P/K, whose
+    root x gives sigma sqrt(T) = x + sqrt(x^2 + 2L)."""
+
+    @given(
+        rho=st.floats(0.1, 0.9),
+        log_T=st.floats(math.log(0.1), math.log(5.0)),
+        log_m=st.floats(math.log(1e-4), math.log(0.45)),
+        k=st.floats(-64.0, -0.25),
+    )
+    # G within 1e-6 of 1 (a mass of 1 - 5e-7)
+    @example(rho=0.3, log_T=math.log(1.2), log_m=math.log1p(-5e-7), k=-2.0)
+    # a shallow strike with sigma sqrt(T) = 0.058, where x = -4.3
+    @example(rho=0.1, log_T=math.log(0.1), log_m=math.log(1e-100), k=-0.25)
+    def test_matches_implied_vol(self, rho, log_T, log_m, k):
+        s0, T = 0.05, math.exp(log_T)
+        model = CevModel(CevParams(s0=s0, sigma=sigma_for_mass(math.exp(log_m), rho, s0, T), rho=rho, T=T))
+        K = s0 * math.exp(k)
+        P, L = float(model.put_price(K)), math.log(s0 / K)
+        iv = implied_vol(model.market(), OptionQuote(K, "put", P))
+        # a put level rides with a U_K level of the same value and keeps its bits
+        paper, exact = u_k_inv([[P / K], [P / K]], L, exact=[[False], [True]])[:, 0]
+        assert np.float64(paper).tobytes() == np.float64(u_k_inv(P / K, L)).tobytes()
+        assert exact == u_k_inv(P / K, L, exact=True)
+        sigma = wing._sqrt_form(T, L, exact)
+        # implied_vol stops at a log-price residual below 1e-14, which moves
+        # sigma by 1e-14 G / (s phi(d2)) relative, s = sigma sqrt(T): next
+        # to G = 1 that exceeds 1e-13, elsewhere it is far below
+        s = iv * math.sqrt(T)
+        d2 = L / s - s / 2.0
+        slack = 1e-14 * (P / K) / (s * math.exp(-0.5 * d2 * d2) / math.sqrt(2.0 * math.pi))
+        assert abs(sigma - iv) <= (1e-13 + 2.0 * slack) * iv
+
+    def test_refusals(self):
+        # a level outside (0, 1) has no put: NaN in an array call, an error in a scalar one
+        levels = np.array([0.0, -0.1, 1.0, math.nan, 1e-300, 0.5])
+        x = u_k_inv(levels, 3.0, exact=True)
+        assert np.isnan(x[:4]).all() and np.isfinite(x[4:]).all()
+        with pytest.raises(DomainBelowError):
+            u_k_inv(0.0, 3.0, exact=True)
+        with pytest.raises(DomainAboveError):
+            u_k_inv(1.0, 3.0, exact=True)
+        for L in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                u_k_inv(0.3, L, exact=True)
 
 
 class TestGFromPut:
@@ -600,6 +652,54 @@ class TestAggregate:
     def test_psi_envelope_refuses_nan(self, T, L, psi):
         with pytest.raises(DomainError):
             dmhj_psi_envelope(T, 0.07, L, psi)
+
+
+def _mp_probit(p):
+    """N^{-1}(p) in the current mpmath precision."""
+    return mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
+
+
+def _mp_u_k_inv(level, L):
+    """(U_K)^{-1}(level) at depth L, U_K(x) = N(x) - exp(-x^2/2)/(2 sqrt(pi L)),
+    in the current mpmath precision."""
+    L = mpmath.mpf(L)
+    u_k_mp = lambda x: mpmath.ncdf(x) - mpmath.exp(-x * x / 2) / (2 * mpmath.sqrt(mpmath.pi * L))
+    return mpmath.findroot(lambda x: u_k_mp(x) - level, (-mpmath.sqrt(2 * L), 10), solver="illinois")
+
+
+class TestPaperConstants:
+    """Constants of the paper's statements, each against a 50-digit
+    evaluation of the statement itself."""
+
+    @pytest.mark.parametrize("mass, depth, epsilon", [(0.0707, 8.0, 0.01), (0.3, 30.0, 0.05), (0.01, 100.0, 0.5)])
+    def test_lower_bound_deflation(self, mass, depth, epsilon):
+        # lower = sqrt(2/T) sqrt(L + H(u2)), u2 = U^{-1}(G - (3 a^2 + 2 + eps)/(8 sqrt(pi) L^(3/2))),
+        # a = N^{-1}(mass); without a put G is the mass
+        market, K = MarketSlice(x0=1.0, T=1.2), math.exp(-depth)
+        L = math.log(1.0 / K)
+        with mpmath.workdps(50):
+            a, L_ = _mp_probit(mass), mpmath.mpf(L)
+            level = mass - (3 * a * a + 2 + mpmath.mpf(epsilon)) / (8 * mpmath.sqrt(mpmath.pi) * L_ ** 1.5)
+            u = _mp_u_k_inv(level, L)
+            want = mpmath.sqrt(2 / mpmath.mpf(1.2)) * mpmath.sqrt(L_ + u * u + u * mpmath.sqrt(u * u + 2 * L_))
+        lower, _ = smile_bounds(market, K, AtomModel(mass=mass), BoundsConfig(epsilon))
+        assert lower == pytest.approx(float(want), rel=1e-11)
+
+    @pytest.mark.parametrize("mass, L", [(0.1, 50.0), (0.5, 8.0), (0.9, 1e3)])
+    def test_estims_ratio(self, mass, L):
+        # sqrt(2L) [(U_{1/K})^{-1}(mass) - N^{-1}(mass)]
+        with mpmath.workdps(50):
+            want = mpmath.sqrt(2 * mpmath.mpf(L)) * (_mp_u_k_inv(mass, L) - _mp_probit(mass))
+        assert estims_ratio(mass, L) == pytest.approx(float(want), rel=1e-10)
+
+    @pytest.mark.parametrize("T, mass, L, psi", [(1.2, 0.0707, 8.0, 1e-3), (0.5, 0.3, 30.0, 0.02)])
+    def test_dmhj_psi_envelope(self, T, mass, L, psi):
+        # Psi = sqrt(2)/(2 sqrt(T)) L^(-1/2) + sqrt(2 pi)/sqrt(T) exp(N^{-1}(mass)^2/2) psi
+        with mpmath.workdps(50):
+            T_, a = mpmath.mpf(T), _mp_probit(mass)
+            want = (mpmath.sqrt(2) / (2 * mpmath.sqrt(T_)) / mpmath.sqrt(L)
+                    + mpmath.sqrt(2 * mpmath.pi) / mpmath.sqrt(T_) * mpmath.exp(a * a / 2) * mpmath.mpf(psi))
+        assert dmhj_psi_envelope(T, mass, L, psi) == pytest.approx(float(want), rel=1e-13)
 
 
 class TestAtomModelValidation:
